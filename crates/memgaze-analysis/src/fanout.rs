@@ -38,9 +38,10 @@ use crate::reuse::BlockReuse;
 use crate::streaming::{
     IngestStats, ReuseTracker, SampleReuseSummary, StreamingAnalyzer, StreamingReport,
 };
+use memgaze_model::wire::{self, Reader, WireError, WireErrorKind, Writer};
 use memgaze_model::{
-    compression_ratio, fnv1a64, AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex,
-    FunctionId, Ip, IpAnnot, LoadClass, ModelError, SymbolTable, TraceMeta,
+    compression_ratio, AuxAnnotations, BlockSize, DecompressionInfo, FrameIndex, FunctionId, Ip,
+    IpAnnot, LoadClass, ModelError, SymbolTable, TraceMeta,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -85,6 +86,17 @@ impl std::fmt::Display for PartialError {
 }
 
 impl std::error::Error for PartialError {}
+
+impl From<WireError> for PartialError {
+    fn from(e: WireError) -> Self {
+        match e.kind {
+            WireErrorKind::Truncated => PartialError::Truncated { context: e.field },
+            _ => PartialError::Corrupt {
+                detail: e.to_string(),
+            },
+        }
+    }
+}
 
 /// Exact-merge summary of a [`ReuseTracker`] over one stream segment.
 ///
@@ -540,39 +552,37 @@ impl PartialReport {
     /// regardless of what precedes it.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let _span = memgaze_obs::span("codec.encode_partial");
-        let start = buf.len();
-        buf.extend_from_slice(PARTIAL_MAGIC);
-        buf.extend_from_slice(&PARTIAL_VERSION.to_le_bytes());
-        buf.push(self.footprint_block.log2());
-        buf.push(self.reuse_block.log2());
-        put_u64s(buf, &self.locality_sizes);
-        put_varint(buf, self.num_samples);
-        put_varint(buf, self.observed);
-        put_varint(buf, self.implied_const);
-        put_varint(buf, self.per_sample_diags.len() as u64);
+        let mut w = Writer::framed(buf, PARTIAL_MAGIC, PARTIAL_VERSION);
+        w.u8(self.footprint_block.log2());
+        w.u8(self.reuse_block.log2());
+        put_u64s(&mut w, &self.locality_sizes);
+        w.varint(self.num_samples);
+        w.varint(self.observed);
+        w.varint(self.implied_const);
+        w.varint(self.per_sample_diags.len() as u64);
         for d in &self.per_sample_diags {
-            put_varint(buf, d.observed);
-            put_varint(buf, d.implied_const);
-            put_varint(buf, d.footprint);
-            put_varint(buf, d.f_str);
-            put_varint(buf, d.f_irr);
-            put_f64(buf, d.kappa);
+            w.varint(d.observed);
+            w.varint(d.implied_const);
+            w.varint(d.footprint);
+            w.varint(d.f_str);
+            w.varint(d.f_irr);
+            w.f64(d.kappa);
         }
-        put_varint(buf, self.per_sample_reuse.len() as u64);
+        w.varint(self.per_sample_reuse.len() as u64);
         for r in &self.per_sample_reuse {
-            put_varint(buf, r.events as u64);
-            put_f64(buf, r.mean_d);
+            w.varint(r.events as u64);
+            w.f64(r.mean_d);
         }
         for rows in &self.locality {
-            put_varint(buf, rows.len() as u64);
+            w.varint(rows.len() as u64);
             for &(n, d, g, fval) in rows {
-                put_varint(buf, n);
-                put_f64(buf, d);
-                put_f64(buf, g);
-                put_f64(buf, fval);
+                w.varint(n);
+                w.f64(d);
+                w.f64(g);
+                w.f64(fval);
             }
         }
-        put_varint(buf, self.block_reuse.len() as u64);
+        w.varint(self.block_reuse.len() as u64);
         // The first row is verbatim (its block number may be 0, so its
         // delta may be too). After that, rows are strictly block-sorted
         // — deltas are positive — so 0 escapes a repeat: `0, k` stands
@@ -592,56 +602,55 @@ impl PartialReport {
                 continue;
             }
             if repeat > 0 {
-                put_varint(buf, 0);
-                put_varint(buf, repeat);
+                w.varint(0);
+                w.varint(repeat);
                 repeat = 0;
             }
-            put_varint(buf, delta);
+            w.varint(delta);
             for s in stats {
-                put_varint(buf, s);
+                w.varint(s);
             }
             prev_delta = delta;
             prev_stats = stats;
             first = false;
         }
         if repeat > 0 {
-            put_varint(buf, 0);
-            put_varint(buf, repeat);
+            w.varint(0);
+            w.varint(repeat);
         }
         let (bins, count, sum) = self.histogram.raw_parts();
-        put_u64s(buf, bins);
-        put_varint(buf, count);
-        put_varint(buf, sum);
-        put_varint(buf, self.funcs.len() as u64);
+        put_u64s(&mut w, bins);
+        w.varint(count);
+        w.varint(sum);
+        w.varint(self.funcs.len() as u64);
         for (&id, fp) in &self.funcs {
-            put_varint(buf, u64::from(id));
-            put_str(buf, &fp.name);
-            put_sorted(buf, &fp.all);
+            w.varint(u64::from(id));
+            w.str(&fp.name);
+            put_sorted(&mut w, &fp.all);
             // Class lists ride as a one-byte back-reference when they
             // equal `all` — functions dominated by a single load class
             // are the norm, and re-encoding (then re-decoding) the full
             // word-granular footprint list doubles the frame's weight
             // for no information.
-            put_class_list(buf, &fp.strided, &fp.all);
-            put_class_list(buf, &fp.irregular, &fp.all);
-            put_varint(buf, fp.observed);
-            put_varint(buf, fp.implied_const);
-            put_u64s(buf, &fp.reuse.firsts);
-            put_u64s(buf, &fp.reuse.lru);
-            put_varint(buf, fp.reuse.events);
-            put_varint(buf, fp.reuse.dist_sum);
-            put_varint(buf, fp.obs.len() as u64);
+            put_class_list(&mut w, &fp.strided, &fp.all);
+            put_class_list(&mut w, &fp.irregular, &fp.all);
+            w.varint(fp.observed);
+            w.varint(fp.implied_const);
+            put_u64s(&mut w, &fp.reuse.firsts);
+            put_u64s(&mut w, &fp.reuse.lru);
+            w.varint(fp.reuse.events);
+            w.varint(fp.reuse.dist_sum);
+            w.varint(fp.obs.len() as u64);
             for &o in &fp.obs {
-                put_f64(buf, o);
+                w.f64(o);
             }
         }
-        put_varint(buf, self.stats.shards);
-        put_varint(buf, self.stats.samples);
-        put_varint(buf, self.stats.merge_events);
-        put_varint(buf, self.stats.peak_shard_samples as u64);
-        put_varint(buf, self.stats.peak_shard_bytes as u64);
-        let sum = fnv1a64(&buf[start..]);
-        buf.extend_from_slice(&sum.to_le_bytes());
+        w.varint(self.stats.shards);
+        w.varint(self.stats.samples);
+        w.varint(self.stats.merge_events);
+        w.varint(self.stats.peak_shard_samples as u64);
+        w.varint(self.stats.peak_shard_bytes as u64);
+        w.seal();
     }
 
     /// Decode a serialized partial, rejecting truncation, corruption,
@@ -649,114 +658,95 @@ impl PartialReport {
     /// surface as a typed error, never a bad merge.
     pub fn decode(data: &[u8]) -> Result<PartialReport, PartialError> {
         let _span = memgaze_obs::span("codec.decode_partial");
-        let body = check_frame(data, PARTIAL_MAGIC, PARTIAL_VERSION, "partial report")?;
-        let mut src = body;
-        let footprint_block = get_block_size(&mut src, "partial footprint block")?;
-        let reuse_block = get_block_size(&mut src, "partial reuse block")?;
-        let locality_sizes = get_u64s(&mut src, "partial locality sizes")?;
-        let num_samples = get_varint(&mut src, "partial num_samples")?;
-        let observed = get_varint(&mut src, "partial observed")?;
-        let implied_const = get_varint(&mut src, "partial implied_const")?;
-        let n = get_len(&mut src, "partial diag count")?;
+        let mut r = wire::open(data, PARTIAL_MAGIC, PARTIAL_VERSION, "partial report")?;
+        let footprint_block = get_block_size(&mut r, "partial footprint block")?;
+        let reuse_block = get_block_size(&mut r, "partial reuse block")?;
+        let locality_sizes = get_u64s(&mut r, "partial locality sizes")?;
+        let num_samples = r.varint("partial num_samples")?;
+        let observed = r.varint("partial observed")?;
+        let implied_const = r.varint("partial implied_const")?;
+        // Five varints and an f64: at least 13 bytes per row.
+        let n = r.len(13, "partial diag count")?;
         let mut per_sample_diags = Vec::with_capacity(n);
         for _ in 0..n {
             per_sample_diags.push(FootprintDiagnostics {
-                observed: get_varint(&mut src, "diag observed")?,
-                implied_const: get_varint(&mut src, "diag implied_const")?,
-                footprint: get_varint(&mut src, "diag footprint")?,
-                f_str: get_varint(&mut src, "diag f_str")?,
-                f_irr: get_varint(&mut src, "diag f_irr")?,
-                kappa: get_f64(&mut src, "diag kappa")?,
+                observed: r.varint("diag observed")?,
+                implied_const: r.varint("diag implied_const")?,
+                footprint: r.varint("diag footprint")?,
+                f_str: r.varint("diag f_str")?,
+                f_irr: r.varint("diag f_irr")?,
+                kappa: r.f64("diag kappa")?,
             });
         }
-        let n = get_len(&mut src, "partial reuse count")?;
+        let n = r.len(9, "partial reuse count")?;
         let mut per_sample_reuse = Vec::with_capacity(n);
         for _ in 0..n {
             per_sample_reuse.push(SampleReuseSummary {
-                events: get_varint(&mut src, "reuse events")? as usize,
-                mean_d: get_f64(&mut src, "reuse mean_d")?,
+                events: r.usize("reuse events")?,
+                mean_d: r.f64("reuse mean_d")?,
             });
         }
-        let mut locality = Vec::with_capacity(locality_sizes.len());
+        let mut locality = Vec::with_capacity(r.capacity(locality_sizes.len()));
         for _ in 0..locality_sizes.len() {
-            let n = get_len(&mut src, "locality row count")?;
+            let n = r.len(25, "locality row count")?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 rows.push((
-                    get_varint(&mut src, "locality windows")?,
-                    get_f64(&mut src, "locality d")?,
-                    get_f64(&mut src, "locality g")?,
-                    get_f64(&mut src, "locality f")?,
+                    r.varint("locality windows")?,
+                    r.f64("locality d")?,
+                    r.f64("locality g")?,
+                    r.f64("locality f")?,
                 ));
             }
             locality.push(rows);
         }
-        let n = get_count(&mut src, "block reuse count")?;
-        let mut rows: Vec<(u64, [u64; 4])> = Vec::with_capacity(n);
-        let mut block = 0u64;
-        let mut prev_delta = 0u64;
-        while rows.len() < n {
-            let delta = get_varint(&mut src, "block delta")?;
-            if delta == 0 && !rows.is_empty() {
-                // Repeat escape: `k` more rows with the previous delta
-                // and stats (see the encoder).
-                let k = get_varint(&mut src, "block repeat")? as usize;
-                let (_, stats) = *rows.last().expect("guarded non-empty");
-                if k == 0 || prev_delta == 0 || k > n - rows.len() {
-                    return Err(PartialError::Corrupt {
-                        detail: "bad block repeat run".to_string(),
-                    });
-                }
-                for _ in 0..k {
-                    block += prev_delta;
-                    rows.push((block, stats));
-                }
-                continue;
-            }
-            block += delta;
-            prev_delta = delta;
-            let mut stats = [0u64; 4];
-            for s in &mut stats {
-                *s = get_varint(&mut src, "block stat")?;
-            }
-            rows.push((block, stats));
+        let n = r.count(MAX_RLE_ENTRIES, "block reuse count")?;
+        if n > r.remaining() {
+            walk_block_rows(&mut r.clone(), n, |_, _| {})?;
         }
+        let mut rows = Vec::with_capacity(n);
+        walk_block_rows(&mut r, n, |block, stats| rows.push((block, stats)))?;
         let block_reuse = BlockReuse::from_raw_rows(rows).ok_or_else(|| PartialError::Corrupt {
             detail: "block reuse rows out of order".to_string(),
         })?;
-        let bins = get_u64s(&mut src, "histogram bins")?;
-        let count = get_varint(&mut src, "histogram count")?;
-        let sum = get_varint(&mut src, "histogram sum")?;
+        let bins = get_u64s(&mut r, "histogram bins")?;
+        let count = r.varint("histogram count")?;
+        let sum = r.varint("histogram sum")?;
         let histogram = Log2Histogram::from_raw_parts(bins, count, sum);
-        let n = get_len(&mut src, "function count")?;
+        let n = r.len(1, "function count")?;
         let mut funcs = BTreeMap::new();
+        let mut prev_id = None;
         for _ in 0..n {
-            let id = get_varint(&mut src, "function id")?;
-            let id = u32::try_from(id).map_err(|_| PartialError::Corrupt {
-                detail: format!("function id {id} out of range"),
-            })?;
-            let name = get_str(&mut src, "function name")?;
-            let all = get_sorted(&mut src, "function footprint")?;
-            let strided = get_class_list(&mut src, &all, "function strided")?;
-            let irregular = get_class_list(&mut src, &all, "function irregular")?;
+            let id = r.u32("function id")?;
+            // The encoder walks a map: ids are strictly increasing.
+            if prev_id.is_some_and(|p| id <= p) {
+                return Err(r
+                    .error("function id", WireErrorKind::Invalid { value: id.into() })
+                    .into());
+            }
+            prev_id = Some(id);
+            let name = r.string("function name")?;
+            let all = get_sorted(&mut r, "function footprint")?;
+            let strided = get_class_list(&mut r, &all, "function strided")?;
+            let irregular = get_class_list(&mut r, &all, "function irregular")?;
             let fp = FuncPartial {
                 name,
                 all,
                 strided,
                 irregular,
-                observed: get_varint(&mut src, "function observed")?,
-                implied_const: get_varint(&mut src, "function implied_const")?,
+                observed: r.varint("function observed")?,
+                implied_const: r.varint("function implied_const")?,
                 reuse: ReusePartial {
-                    firsts: get_u64s(&mut src, "function firsts")?,
-                    lru: get_u64s(&mut src, "function lru")?,
-                    events: get_varint(&mut src, "function events")?,
-                    dist_sum: get_varint(&mut src, "function dist_sum")?,
+                    firsts: get_u64s(&mut r, "function firsts")?,
+                    lru: get_u64s(&mut r, "function lru")?,
+                    events: r.varint("function events")?,
+                    dist_sum: r.varint("function dist_sum")?,
                 },
                 obs: {
-                    let n = get_len(&mut src, "function obs count")?;
+                    let n = r.len(8, "function obs count")?;
                     let mut obs = Vec::with_capacity(n);
                     for _ in 0..n {
-                        obs.push(get_f64(&mut src, "function obs")?);
+                        obs.push(r.f64("function obs")?);
                     }
                     obs
                 },
@@ -764,17 +754,13 @@ impl PartialReport {
             funcs.insert(id, fp);
         }
         let stats = IngestStats {
-            shards: get_varint(&mut src, "stats shards")?,
-            samples: get_varint(&mut src, "stats samples")?,
-            merge_events: get_varint(&mut src, "stats merges")?,
-            peak_shard_samples: get_varint(&mut src, "stats peak samples")? as usize,
-            peak_shard_bytes: get_varint(&mut src, "stats peak bytes")? as usize,
+            shards: r.varint("stats shards")?,
+            samples: r.varint("stats samples")?,
+            merge_events: r.varint("stats merges")?,
+            peak_shard_samples: r.usize("stats peak samples")?,
+            peak_shard_bytes: r.usize("stats peak bytes")?,
         };
-        if !src.is_empty() {
-            return Err(PartialError::Corrupt {
-                detail: format!("{} trailing bytes in partial report", src.len()),
-            });
-        }
+        r.finish("partial report")?;
         Ok(PartialReport {
             footprint_block,
             reuse_block,
@@ -835,52 +821,58 @@ impl WorkerSpec {
     /// only this frame's bytes, so the encoding is byte-identical to
     /// [`encode`](Self::encode) whatever precedes it.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let start = buf.len();
-        buf.extend_from_slice(SPEC_MAGIC);
-        buf.extend_from_slice(&SPEC_VERSION.to_le_bytes());
-        buf.push(self.footprint_block.log2());
-        buf.push(self.reuse_block.log2());
-        put_varint(buf, self.threads as u64);
-        put_u64s(buf, &self.locality_sizes);
-        put_varint(buf, self.annots.len() as u64);
+        let mut w = Writer::framed(buf, SPEC_MAGIC, SPEC_VERSION);
+        w.u8(self.footprint_block.log2());
+        w.u8(self.reuse_block.log2());
+        w.varint(self.threads as u64);
+        put_u64s(&mut w, &self.locality_sizes);
+        w.varint(self.annots.len() as u64);
         for (ip, an) in self.annots.iter() {
-            put_varint(buf, ip.raw());
-            buf.push(match an.class {
+            w.varint(ip.raw());
+            w.u8(match an.class {
                 LoadClass::Constant => 0,
                 LoadClass::Strided => 1,
                 LoadClass::Irregular => 2,
             });
-            put_varint(buf, u64::from(an.implied_const));
-            buf.push(an.scale);
-            put_varint(buf, zigzag(an.offset));
-            buf.push(u8::from(an.two_source));
-            put_varint(buf, u64::from(an.func.0));
-            put_varint(buf, u64::from(an.src_line));
+            w.varint(u64::from(an.implied_const));
+            w.u8(an.scale);
+            w.zigzag(an.offset);
+            w.u8(u8::from(an.two_source));
+            w.varint(u64::from(an.func.0));
+            w.varint(u64::from(an.src_line));
         }
-        put_varint(buf, self.symbols.len() as u64);
+        w.varint(self.symbols.len() as u64);
         for f in self.symbols.functions() {
-            put_str(buf, &f.name);
-            put_varint(buf, f.lo.raw());
-            put_varint(buf, f.hi.raw());
-            put_str(buf, &f.src_file);
+            w.str(&f.name);
+            w.varint(f.lo.raw());
+            w.varint(f.hi.raw());
+            w.str(&f.src_file);
         }
-        let sum = fnv1a64(&buf[start..]);
-        buf.extend_from_slice(&sum.to_le_bytes());
+        w.seal();
     }
 
     /// Decode a serialized spec.
     pub fn decode(data: &[u8]) -> Result<WorkerSpec, PartialError> {
-        let body = check_frame(data, SPEC_MAGIC, SPEC_VERSION, "worker spec")?;
-        let mut src = body;
-        let footprint_block = get_block_size(&mut src, "spec footprint block")?;
-        let reuse_block = get_block_size(&mut src, "spec reuse block")?;
-        let threads = get_varint(&mut src, "spec threads")? as usize;
-        let locality_sizes = get_u64s(&mut src, "spec locality sizes")?;
-        let n = get_len(&mut src, "spec annot count")?;
+        let mut r = wire::open(data, SPEC_MAGIC, SPEC_VERSION, "worker spec")?;
+        let footprint_block = get_block_size(&mut r, "spec footprint block")?;
+        let reuse_block = get_block_size(&mut r, "spec reuse block")?;
+        let threads = r.usize("spec threads")?;
+        let locality_sizes = get_u64s(&mut r, "spec locality sizes")?;
+        // ip, class, implied_const, scale, offset, two_source, func,
+        // src_line: at least 8 bytes per annotation.
+        let n = r.len(8, "spec annot count")?;
         let mut annots = AuxAnnotations::new();
+        let mut prev_ip = None;
         for _ in 0..n {
-            let ip = Ip(get_varint(&mut src, "annot ip")?);
-            let class = match get_byte(&mut src, "annot class")? {
+            let ip = r.varint("annot ip")?;
+            // The encoder walks a map: ips are strictly increasing.
+            if prev_ip.is_some_and(|p| ip <= p) {
+                return Err(r
+                    .error("annot ip", WireErrorKind::Invalid { value: ip })
+                    .into());
+            }
+            prev_ip = Some(ip);
+            let class = match r.u8("annot class")? {
                 0 => LoadClass::Constant,
                 1 => LoadClass::Strided,
                 2 => LoadClass::Irregular,
@@ -890,49 +882,58 @@ impl WorkerSpec {
                     })
                 }
             };
-            let implied_const = get_varint(&mut src, "annot implied_const")?;
-            let implied_const =
-                u32::try_from(implied_const).map_err(|_| PartialError::Corrupt {
-                    detail: format!("annot implied_const {implied_const} out of range"),
-                })?;
-            let scale = get_byte(&mut src, "annot scale")?;
-            let offset = unzigzag(get_varint(&mut src, "annot offset")?);
-            let two_source = get_byte(&mut src, "annot two_source")? != 0;
-            let func = get_varint(&mut src, "annot func")?;
-            let func = u32::try_from(func).map_err(|_| PartialError::Corrupt {
-                detail: format!("annot func id {func} out of range"),
-            })?;
-            let src_line = get_varint(&mut src, "annot src_line")?;
-            let src_line = u32::try_from(src_line).map_err(|_| PartialError::Corrupt {
-                detail: format!("annot src_line {src_line} out of range"),
-            })?;
+            let implied_const = r.u32("annot implied_const")?;
+            let scale = r.u8("annot scale")?;
+            let offset = r.zigzag("annot offset")?;
+            let two_source = match r.u8("annot two_source")? {
+                0 => false,
+                1 => true,
+                other => {
+                    return Err(r
+                        .error(
+                            "annot two_source",
+                            WireErrorKind::Invalid {
+                                value: other.into(),
+                            },
+                        )
+                        .into())
+                }
+            };
+            let func = r.u32("annot func")?;
+            let src_line = r.u32("annot src_line")?;
             let mut an = IpAnnot::of_class(class, FunctionId(func));
             an.implied_const = implied_const;
             an.scale = scale;
             an.offset = offset;
             an.two_source = two_source;
             an.src_line = src_line;
-            annots.insert(ip, an);
+            annots.insert(Ip(ip), an);
         }
-        let n = get_len(&mut src, "spec symbol count")?;
+        // name, lo, hi, src_file: at least 4 bytes per symbol.
+        let n = r.len(4, "spec symbol count")?;
         let mut symbols = SymbolTable::new();
+        let mut prev_hi = 0;
         for _ in 0..n {
-            let name = get_str(&mut src, "symbol name")?;
-            let lo = Ip(get_varint(&mut src, "symbol lo")?);
-            let hi = Ip(get_varint(&mut src, "symbol hi")?);
-            let src_file = get_str(&mut src, "symbol src_file")?;
+            let name = r.str("symbol name")?;
+            let lo = Ip(r.varint("symbol lo")?);
+            let hi = Ip(r.varint("symbol hi")?);
+            let src_file = r.str("symbol src_file")?;
             if hi.raw() <= lo.raw() {
                 return Err(PartialError::Corrupt {
                     detail: format!("symbol {name} has empty range"),
                 });
             }
-            symbols.add_function(&name, lo, hi, &src_file);
+            // The encoder walks the table in address order, and
+            // `add_function` refuses overlapping ranges.
+            if lo.raw() < prev_hi {
+                return Err(PartialError::Corrupt {
+                    detail: format!("symbol {name} overlaps its predecessor"),
+                });
+            }
+            prev_hi = hi.raw();
+            symbols.add_function(name, lo, hi, src_file);
         }
-        if !src.is_empty() {
-            return Err(PartialError::Corrupt {
-                detail: format!("{} trailing bytes in worker spec", src.len()),
-            });
-        }
+        r.finish("worker spec")?;
         Ok(WorkerSpec {
             footprint_block,
             reuse_block,
@@ -1011,121 +1012,16 @@ pub fn partition_by_samples(samples: &[u64], workers: usize) -> Vec<Range<usize>
     out
 }
 
-// ---- wire primitives ----
+// ---- list codecs ----
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn get_varint(src: &mut &[u8], context: &'static str) -> Result<u64, PartialError> {
-    // Fast path: a u64 varint spans at most 10 bytes, so with that much
-    // input left the whole value decodes with one bounds decision
-    // instead of one per byte. The partial codec decodes hundreds of
-    // thousands of these per report, so the per-byte checks are a
-    // measurable share of coordinator decode time.
-    let s = *src;
-    if s.len() >= 10 {
-        let mut v: u64 = 0;
-        for (i, &byte) in s[..10].iter().enumerate() {
-            v |= u64::from(byte & 0x7f) << (7 * i as u32);
-            if byte & 0x80 == 0 {
-                *src = &s[i + 1..];
-                return Ok(v);
-            }
-        }
-        return Err(PartialError::Corrupt {
-            detail: format!("varint overflow in {context}"),
-        });
-    }
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = get_byte(src, context)?;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(PartialError::Corrupt {
-                detail: format!("varint overflow in {context}"),
-            });
-        }
-    }
-}
-
-fn get_byte(src: &mut &[u8], context: &'static str) -> Result<u8, PartialError> {
-    let (&b, rest) = src
-        .split_first()
-        .ok_or(PartialError::Truncated { context })?;
-    *src = rest;
-    Ok(b)
-}
-
-/// A length prefix, bounded by the bytes actually remaining so corrupt
-/// counts cannot trigger giant allocations.
-fn get_len(src: &mut &[u8], context: &'static str) -> Result<usize, PartialError> {
-    let n = get_varint(src, context)? as usize;
-    if n > src.len() {
-        return Err(PartialError::Truncated { context });
-    }
-    Ok(n)
-}
-
-/// Hard ceiling on entries in one run-length-encoded list. The
-/// `get_len` remaining-bytes guard does not apply to RLE lists — a run
-/// escape stores thousands of entries in three bytes — so this bounds
-/// the memory a corrupt (checksum-colliding) count can make the
-/// decoder commit.
+/// Hard ceiling on entries in one run-length-encoded list. A run
+/// escape stores thousands of entries in three bytes, so the remaining
+/// input does not bound these lists. A list declaring more entries than
+/// there are bytes left is therefore walked once without storing
+/// anything before its entries are materialized: a corrupt count fails
+/// in that walk, before runs read from unrelated bytes can expand into
+/// memory. Any other list reserves at most one entry per input byte.
 const MAX_RLE_ENTRIES: usize = 1 << 26;
-
-/// Length prefix of a run-length-encoded list; see [`MAX_RLE_ENTRIES`].
-fn get_count(src: &mut &[u8], context: &'static str) -> Result<usize, PartialError> {
-    let n = get_varint(src, context)? as usize;
-    if n > MAX_RLE_ENTRIES {
-        return Err(PartialError::Corrupt {
-            detail: format!("list of {n} entries exceeds decoder limit ({context})"),
-        });
-    }
-    Ok(n)
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn get_f64(src: &mut &[u8], context: &'static str) -> Result<f64, PartialError> {
-    if src.len() < 8 {
-        return Err(PartialError::Truncated { context });
-    }
-    let (bytes, rest) = src.split_at(8);
-    *src = rest;
-    Ok(f64::from_bits(u64::from_le_bytes(
-        bytes.try_into().expect("split_at gave 8 bytes"),
-    )))
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(src: &mut &[u8], context: &'static str) -> Result<String, PartialError> {
-    let n = get_len(src, context)?;
-    let (bytes, rest) = src.split_at(n);
-    *src = rest;
-    String::from_utf8(bytes.to_vec()).map_err(|_| PartialError::Corrupt {
-        detail: format!("non-utf8 string in {context}"),
-    })
-}
 
 /// Encode an arbitrary-order `u64` list as zigzag deltas with
 /// run-length escapes: after a verbatim first element, each entry is
@@ -1134,12 +1030,12 @@ fn get_str(src: &mut &[u8], context: &'static str) -> Result<String, PartialErro
 /// lists in first-touch or LRU order are near-sequential for streamed
 /// regions, so the dominant case is a handful of runs instead of one
 /// 3-byte absolute varint per block.
-fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
-    put_varint(buf, vs.len() as u64);
+fn put_u64s(w: &mut Writer, vs: &[u64]) {
+    w.varint(vs.len() as u64);
     let Some((&first, rest)) = vs.split_first() else {
         return;
     };
-    put_varint(buf, first);
+    w.varint(first);
     let mut prev = first;
     let mut i = 0;
     while i < rest.len() {
@@ -1149,13 +1045,13 @@ fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
             run += 1;
         }
         if run >= SORTED_RUN_MIN {
-            put_varint(buf, 0);
-            put_varint(buf, zigzag(delta as i64));
-            put_varint(buf, run as u64);
+            w.varint(0);
+            w.zigzag(delta as i64);
+            w.varint(run as u64);
         } else {
             let mut p = prev;
             for k in 0..run {
-                put_varint(buf, zigzag(rest[i + k].wrapping_sub(p) as i64) + 1);
+                w.varint(wire::zigzag(rest[i + k].wrapping_sub(p) as i64) + 1);
                 p = rest[i + k];
             }
         }
@@ -1164,34 +1060,50 @@ fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
     }
 }
 
-fn get_u64s(src: &mut &[u8], context: &'static str) -> Result<Vec<u64>, PartialError> {
-    let n = get_count(src, context)?;
-    let mut out = Vec::with_capacity(n);
-    if n == 0 {
-        return Ok(out);
+fn get_u64s(r: &mut Reader, context: &'static str) -> Result<Vec<u64>, PartialError> {
+    let n = r.count(MAX_RLE_ENTRIES, context)?;
+    if n > r.remaining() {
+        walk_u64s(&mut r.clone(), n, context, |_| {})?;
     }
-    let mut v = get_varint(src, context)?;
-    out.push(v);
-    while out.len() < n {
-        let token = get_varint(src, context)?;
+    let mut out = Vec::with_capacity(n);
+    walk_u64s(r, n, context, |v| out.push(v))?;
+    Ok(out)
+}
+
+fn walk_u64s(
+    r: &mut Reader,
+    n: usize,
+    context: &'static str,
+    mut emit: impl FnMut(u64),
+) -> Result<(), PartialError> {
+    if n == 0 {
+        return Ok(());
+    }
+    let mut v = r.varint(context)?;
+    emit(v);
+    let mut len = 1;
+    while len < n {
+        let token = r.varint(context)?;
         if token == 0 {
-            let d = unzigzag(get_varint(src, context)?) as u64;
-            let k = get_varint(src, context)? as usize;
-            if k == 0 || k > n - out.len() {
+            let d = r.zigzag(context)? as u64;
+            let k = r.usize(context)?;
+            if k == 0 || k > n - len {
                 return Err(PartialError::Corrupt {
                     detail: format!("bad run in u64 list ({context})"),
                 });
             }
             for _ in 0..k {
                 v = v.wrapping_add(d);
-                out.push(v);
+                emit(v);
             }
+            len += k;
         } else {
-            v = v.wrapping_add(unzigzag(token - 1) as u64);
-            out.push(v);
+            v = v.wrapping_add(wire::unzigzag(token - 1) as u64);
+            emit(v);
+            len += 1;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Sorted lists delta-encode; also validates order on decode.
@@ -1212,12 +1124,12 @@ const SORTED_RUN_MIN: usize = 4;
 /// varint per block to a few bytes per pattern.
 const SORTED_MAX_PERIOD: usize = 4;
 
-fn put_sorted(buf: &mut Vec<u8>, vs: &[u64]) {
-    put_varint(buf, vs.len() as u64);
+fn put_sorted(w: &mut Writer, vs: &[u64]) {
+    w.varint(vs.len() as u64);
     let Some((&first, rest)) = vs.split_first() else {
         return;
     };
-    put_varint(buf, first);
+    w.varint(first);
     let mut prev = first;
     let mut i = 0;
     while i < rest.len() {
@@ -1239,40 +1151,54 @@ fn put_sorted(buf: &mut Vec<u8>, vs: &[u64]) {
             }
         }
         if best_cover >= 2 * best_p && best_cover >= 8 {
-            put_varint(buf, 0);
-            put_varint(buf, best_p as u64);
-            put_varint(buf, (best_cover / best_p) as u64);
+            w.varint(0);
+            w.varint(best_p as u64);
+            w.varint((best_cover / best_p) as u64);
             let mut p2 = prev;
             for k in 0..best_p {
-                put_varint(buf, rest[i + k] - p2);
+                w.varint(rest[i + k] - p2);
                 p2 = rest[i + k];
             }
             prev = rest[i + best_cover - 1];
             i += best_cover;
         } else {
-            put_varint(buf, rest[i] - prev);
+            w.varint(rest[i] - prev);
             prev = rest[i];
             i += 1;
         }
     }
 }
 
-fn get_sorted(src: &mut &[u8], context: &'static str) -> Result<Vec<u64>, PartialError> {
-    let n = get_count(src, context)?;
-    let mut out = Vec::with_capacity(n);
-    if n == 0 {
-        return Ok(out);
+fn get_sorted(r: &mut Reader, context: &'static str) -> Result<Vec<u64>, PartialError> {
+    let n = r.count(MAX_RLE_ENTRIES, context)?;
+    if n > r.remaining() {
+        walk_sorted(&mut r.clone(), n, context, |_| {})?;
     }
-    let mut v = get_varint(src, context)?;
-    out.push(v);
-    while out.len() < n {
-        let delta = get_varint(src, context)?;
+    let mut out = Vec::with_capacity(n);
+    walk_sorted(r, n, context, |v| out.push(v))?;
+    Ok(out)
+}
+
+fn walk_sorted(
+    r: &mut Reader,
+    n: usize,
+    context: &'static str,
+    mut emit: impl FnMut(u64),
+) -> Result<(), PartialError> {
+    if n == 0 {
+        return Ok(());
+    }
+    let mut v = r.varint(context)?;
+    emit(v);
+    let mut len = 1;
+    while len < n {
+        let delta = r.varint(context)?;
         if delta == 0 {
             // Pattern escape: `k` repetitions of a `p`-delta pattern of
             // strictly positive deltas.
-            let p = get_varint(src, context)? as usize;
-            let k = get_varint(src, context)? as usize;
-            if p == 0 || k == 0 || p.checked_mul(k).is_none_or(|t| t > n - out.len()) {
+            let p = r.usize(context)?;
+            let k = r.usize(context)?;
+            if p == 0 || k == 0 || p.checked_mul(k).is_none_or(|t| t > n - len) {
                 return Err(PartialError::Corrupt {
                     detail: format!("bad pattern run in sorted list ({context})"),
                 });
@@ -1284,7 +1210,7 @@ fn get_sorted(src: &mut &[u8], context: &'static str) -> Result<Vec<u64>, Partia
                 });
             }
             for d in pat[..p].iter_mut() {
-                *d = get_varint(src, context)?;
+                *d = r.varint(context)?;
                 if *d == 0 {
                     return Err(PartialError::Corrupt {
                         detail: format!("zero delta in sorted-list pattern ({context})"),
@@ -1293,16 +1219,18 @@ fn get_sorted(src: &mut &[u8], context: &'static str) -> Result<Vec<u64>, Partia
             }
             for _ in 0..k {
                 for &d in &pat[..p] {
-                    v += d;
-                    out.push(v);
+                    v = r.accumulate(v, d, context)?;
+                    emit(v);
                 }
             }
+            len += p * k;
         } else {
-            v += delta;
-            out.push(v);
+            v = r.accumulate(v, delta, context)?;
+            emit(v);
+            len += 1;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encode a class footprint list, back-referencing `all` when they are
@@ -1310,76 +1238,73 @@ fn get_sorted(src: &mut &[u8], context: &'static str) -> Result<Vec<u64>, Partia
 /// byte 1 means a [`put_sorted`] list follows. Equality is checked on
 /// the full contents, so the compression never assumes the subset
 /// invariant the analyzer happens to maintain.
-fn put_class_list(buf: &mut Vec<u8>, vs: &[u64], all: &[u64]) {
+fn put_class_list(w: &mut Writer, vs: &[u64], all: &[u64]) {
     if vs == all {
-        buf.push(0);
+        w.u8(0);
     } else {
-        buf.push(1);
-        put_sorted(buf, vs);
+        w.u8(1);
+        put_sorted(w, vs);
     }
 }
 
 fn get_class_list(
-    src: &mut &[u8],
+    r: &mut Reader,
     all: &[u64],
     context: &'static str,
 ) -> Result<Vec<u64>, PartialError> {
-    match get_byte(src, context)? {
+    match r.u8(context)? {
         0 => Ok(all.to_vec()),
-        1 => get_sorted(src, context),
+        1 => get_sorted(r, context),
         tag => Err(PartialError::Corrupt {
             detail: format!("bad class-list tag {tag} ({context})"),
         }),
     }
 }
 
-fn get_block_size(src: &mut &[u8], context: &'static str) -> Result<BlockSize, PartialError> {
-    let log2 = get_byte(src, context)?;
+/// Walk `n` block-reuse rows as the encoder writes them: verbatim
+/// `delta, stats[4]` rows, and `0, k` escapes standing for `k` more rows
+/// with the previous row's delta and stats.
+fn walk_block_rows(
+    r: &mut Reader,
+    n: usize,
+    mut emit: impl FnMut(u64, [u64; 4]),
+) -> Result<(), PartialError> {
+    let (mut len, mut block, mut prev_delta, mut stats) = (0, 0u64, 0u64, [0u64; 4]);
+    while len < n {
+        let delta = r.varint("block delta")?;
+        if delta == 0 && len > 0 {
+            let k = r.usize("block repeat")?;
+            if k == 0 || prev_delta == 0 || k > n - len {
+                return Err(PartialError::Corrupt {
+                    detail: "bad block repeat run".to_string(),
+                });
+            }
+            for _ in 0..k {
+                block = r.accumulate(block, prev_delta, "block repeat")?;
+                emit(block, stats);
+            }
+            len += k;
+            continue;
+        }
+        block = r.accumulate(block, delta, "block delta")?;
+        prev_delta = delta;
+        for s in &mut stats {
+            *s = r.varint("block stat")?;
+        }
+        emit(block, stats);
+        len += 1;
+    }
+    Ok(())
+}
+
+fn get_block_size(r: &mut Reader, context: &'static str) -> Result<BlockSize, PartialError> {
+    let log2 = r.u8(context)?;
     if log2 >= 64 {
         return Err(PartialError::Corrupt {
             detail: format!("block size log2 {log2} out of range ({context})"),
         });
     }
     Ok(BlockSize::from_log2(log2))
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-/// Validate magic + version + trailing FNV checksum, returning the body.
-fn check_frame<'a>(
-    data: &'a [u8],
-    magic: &[u8; 4],
-    version: u16,
-    what: &'static str,
-) -> Result<&'a [u8], PartialError> {
-    if data.len() < 14 {
-        return Err(PartialError::Truncated { context: what });
-    }
-    let (body, sum_bytes) = data.split_at(data.len() - 8);
-    let want = u64::from_le_bytes(sum_bytes.try_into().expect("split_at gave 8 bytes"));
-    if fnv1a64(body) != want {
-        return Err(PartialError::Corrupt {
-            detail: format!("{what} checksum mismatch"),
-        });
-    }
-    if &body[..4] != magic {
-        return Err(PartialError::Corrupt {
-            detail: format!("{what} magic {:?}", &body[..4]),
-        });
-    }
-    let ver = u16::from_le_bytes([body[4], body[5]]);
-    if ver != version {
-        return Err(PartialError::Corrupt {
-            detail: format!("{what} version {ver}, expected {version}"),
-        });
-    }
-    Ok(&body[6..])
 }
 
 #[cfg(test)]
@@ -1530,22 +1455,22 @@ mod tests {
         let small: Vec<u64> = vec![5, 6, 9];
         for vs in [&seq, &pattern, &small, &Vec::new()] {
             let mut buf = Vec::new();
-            put_sorted(&mut buf, vs);
-            let mut src = buf.as_slice();
+            put_sorted(&mut Writer::new(&mut buf), vs);
+            let mut src = Reader::new(&buf);
             assert_eq!(&get_sorted(&mut src, "t").unwrap(), vs);
-            assert!(src.is_empty());
+            assert_eq!(src.remaining(), 0);
         }
         for vs in [&seq, &pattern, &rev, &dups, &small, &Vec::new()] {
             let mut buf = Vec::new();
-            put_u64s(&mut buf, vs);
-            let mut src = buf.as_slice();
+            put_u64s(&mut Writer::new(&mut buf), vs);
+            let mut src = Reader::new(&buf);
             assert_eq!(&get_u64s(&mut src, "t").unwrap(), vs);
-            assert!(src.is_empty());
+            assert_eq!(src.remaining(), 0);
         }
         // The run escapes actually engage: a 16K sequential list must
         // collapse to bytes, not one varint per entry.
         let mut buf = Vec::new();
-        put_u64s(&mut buf, &seq);
+        put_u64s(&mut Writer::new(&mut buf), &seq);
         assert!(
             buf.len() < 32,
             "sequential list not run-compressed: {}",

@@ -343,6 +343,15 @@ impl BlockReuse {
         if !rows.windows(2).all(|w| w[0].0 < w[1].0) {
             return None;
         }
+        // The range index keeps prefix sums of the first three stats;
+        // rows whose totals overflow `u64` cannot come from a real trace.
+        rows.iter().try_fold([0u64; 3], |acc, (_, s)| {
+            Some([
+                acc[0].checked_add(s[0])?,
+                acc[1].checked_add(s[1])?,
+                acc[2].checked_add(s[2])?,
+            ])
+        })?;
         let mut br = BlockReuse {
             blocks: rows.iter().map(|&(b, _)| b).collect(),
             stats: rows

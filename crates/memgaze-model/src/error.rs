@@ -130,6 +130,22 @@ impl std::error::Error for ModelError {
     }
 }
 
+impl From<crate::wire::WireError> for ModelError {
+    fn from(e: crate::wire::WireError) -> Self {
+        use crate::wire::WireErrorKind;
+        match e.kind {
+            WireErrorKind::Truncated => ModelError::Truncated { context: e.field },
+            WireErrorKind::Oversize { value } => ModelError::Oversize {
+                context: e.field,
+                value,
+            },
+            _ => ModelError::BadHeader {
+                detail: e.to_string(),
+            },
+        }
+    }
+}
+
 impl From<std::io::Error> for ModelError {
     fn from(e: std::io::Error) -> Self {
         ModelError::Io(e)

@@ -21,118 +21,29 @@
 use crate::access::Access;
 use crate::error::ModelError;
 use crate::sample::{FullTrace, Sample, SampledTrace, TraceMeta};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{Reader, WireError, Writer};
+use bytes::Bytes;
 
-pub(crate) const MAGIC: &[u8; 4] = b"MGZT";
+const MAGIC: &[u8; 4] = b"MGZT";
 const VERSION: u16 = 1;
 const KIND_SAMPLED: u8 = 0;
 const KIND_FULL: u8 = 1;
 
-/// Append an unsigned LEB128 varint.
-pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
+pub(crate) fn put_meta(w: &mut Writer, meta: &TraceMeta) {
+    w.str(&meta.workload);
+    w.varint(meta.period);
+    w.varint(meta.buffer_bytes);
+    w.varint(meta.total_loads);
+    w.varint(meta.total_instrumented_loads);
 }
 
-/// Read an unsigned LEB128 varint.
-pub(crate) fn get_varint<B: Buf>(buf: &mut B, context: &'static str) -> Result<u64, ModelError> {
-    // Fast path: a u64 varint is at most 10 bytes, so when the current
-    // contiguous chunk holds that many the whole value decodes off the
-    // slice with a single bounds decision instead of one per byte.
-    let chunk = buf.chunk();
-    if chunk.len() >= 10 {
-        let mut v: u64 = 0;
-        for (i, &byte) in chunk[..10].iter().enumerate() {
-            v |= u64::from(byte & 0x7f) << (7 * i as u32);
-            if byte & 0x80 == 0 {
-                buf.advance(i + 1);
-                return Ok(v);
-            }
-        }
-        return Err(ModelError::BadHeader {
-            detail: format!("varint overflow in {context}"),
-        });
-    }
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(ModelError::Truncated { context });
-        }
-        let byte = buf.get_u8();
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(ModelError::BadHeader {
-                detail: format!("varint overflow in {context}"),
-            });
-        }
-    }
-}
-
-/// Zigzag-encode a signed delta so small magnitudes stay small.
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Narrow a decoded count/length/offset to `usize`, rejecting values a
-/// 32-bit target cannot address instead of letting `as usize` wrap them
-/// into small (hostile-length-aliasing) allocations. On 64-bit targets
-/// this never fails, but every decode path routes through it so the
-/// codec is identical on both.
-pub(crate) fn decoded_usize(v: u64, context: &'static str) -> Result<usize, ModelError> {
-    usize::try_from(v).map_err(|_| ModelError::Oversize { context, value: v })
-}
-
-fn get_string<B: Buf>(buf: &mut B, context: &'static str) -> Result<String, ModelError> {
-    let len = decoded_usize(get_varint(buf, context)?, context)?;
-    if buf.remaining() < len {
-        return Err(ModelError::Truncated { context });
-    }
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    String::from_utf8(raw).map_err(|_| ModelError::BadHeader {
-        detail: format!("non-utf8 string in {context}"),
-    })
-}
-
-pub(crate) fn put_meta(buf: &mut BytesMut, meta: &TraceMeta) {
-    put_string(buf, &meta.workload);
-    put_varint(buf, meta.period);
-    put_varint(buf, meta.buffer_bytes);
-    put_varint(buf, meta.total_loads);
-    put_varint(buf, meta.total_instrumented_loads);
-}
-
-pub(crate) fn get_meta<B: Buf>(buf: &mut B) -> Result<TraceMeta, ModelError> {
+pub(crate) fn get_meta(r: &mut Reader) -> Result<TraceMeta, ModelError> {
     Ok(TraceMeta {
-        workload: get_string(buf, "meta.workload")?,
-        period: get_varint(buf, "meta.period")?,
-        buffer_bytes: get_varint(buf, "meta.buffer_bytes")?,
-        total_loads: get_varint(buf, "meta.total_loads")?,
-        total_instrumented_loads: get_varint(buf, "meta.total_instr")?,
+        workload: r.string("meta.workload")?,
+        period: r.varint("meta.period")?,
+        buffer_bytes: r.varint("meta.buffer_bytes")?,
+        total_loads: r.varint("meta.total_loads")?,
+        total_instrumented_loads: r.varint("meta.total_instr")?,
     })
 }
 
@@ -144,53 +55,44 @@ struct DeltaState {
     time: u64,
 }
 
-fn put_access(buf: &mut BytesMut, st: &mut DeltaState, a: &Access) {
-    put_varint(buf, zigzag(a.ip.0.wrapping_sub(st.ip) as i64));
-    put_varint(buf, zigzag(a.addr.0.wrapping_sub(st.addr) as i64));
-    put_varint(buf, a.time.wrapping_sub(st.time));
+#[inline]
+fn put_access(w: &mut Writer, st: &mut DeltaState, a: &Access) {
+    w.zigzag(a.ip.0.wrapping_sub(st.ip) as i64);
+    w.zigzag(a.addr.0.wrapping_sub(st.addr) as i64);
+    w.varint(a.time.wrapping_sub(st.time));
     st.ip = a.ip.0;
     st.addr = a.addr.0;
     st.time = a.time;
 }
 
-fn get_access<B: Buf>(buf: &mut B, st: &mut DeltaState) -> Result<Access, ModelError> {
-    let dip = unzigzag(get_varint(buf, "access.ip")?);
-    let daddr = unzigzag(get_varint(buf, "access.addr")?);
-    let dtime = get_varint(buf, "access.time")?;
-    st.ip = st.ip.wrapping_add(dip as u64);
-    st.addr = st.addr.wrapping_add(daddr as u64);
-    st.time = st.time.wrapping_add(dtime);
-    Ok(Access {
-        ip: crate::Ip(st.ip),
-        addr: crate::Addr(st.addr),
-        time: st.time,
-    })
-}
-
-pub(crate) fn put_header(buf: &mut BytesMut, version: u16, kind: u8) {
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(version);
-    buf.put_u8(kind);
-}
-
-fn check_header<B: Buf>(buf: &mut B, want_kind: u8) -> Result<(), ModelError> {
-    if buf.remaining() < 7 {
-        return Err(ModelError::Truncated { context: "header" });
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(ModelError::BadHeader {
-            detail: format!("magic {magic:?}"),
+/// Decode a window of `w` accesses with a fresh [`DeltaState`]. Times
+/// are non-decreasing within a window, so the time delta accumulates
+/// checked: a wrapped time is corrupt input.
+fn get_accesses(r: &mut Reader, w: usize) -> Result<Vec<Access>, WireError> {
+    let mut st = DeltaState::default();
+    let mut accesses = Vec::with_capacity(w);
+    for _ in 0..w {
+        st.ip = st.ip.wrapping_add(r.zigzag("access.ip")? as u64);
+        st.addr = st.addr.wrapping_add(r.zigzag("access.addr")? as u64);
+        st.time = r.delta(st.time, "access.time")?;
+        accesses.push(Access {
+            ip: crate::Ip(st.ip),
+            addr: crate::Addr(st.addr),
+            time: st.time,
         });
     }
-    let ver = buf.get_u16_le();
-    if ver != VERSION {
-        return Err(ModelError::BadHeader {
-            detail: format!("version {ver}"),
-        });
-    }
-    let kind = buf.get_u8();
+    Ok(accesses)
+}
+
+pub(crate) fn put_header(w: &mut Writer, version: u16, kind: u8) {
+    w.bytes(MAGIC);
+    w.u16_le(version);
+    w.u8(kind);
+}
+
+pub(crate) fn check_header(r: &mut Reader, version: u16, want_kind: u8) -> Result<(), ModelError> {
+    r.header(MAGIC, version, "header")?;
+    let kind = r.u8("header")?;
     if kind != want_kind {
         return Err(ModelError::BadHeader {
             detail: format!("kind {kind}, expected {want_kind}"),
@@ -202,12 +104,12 @@ fn check_header<B: Buf>(buf: &mut B, want_kind: u8) -> Result<(), ModelError> {
 /// Append one sample: trigger delta from `prev_trigger`, window length,
 /// then delta-coded accesses with a fresh [`DeltaState`]. Shared by the
 /// v1 monolithic payload and the v2 shard frames.
-pub(crate) fn put_sample(buf: &mut BytesMut, prev_trigger: u64, s: &Sample) {
-    put_varint(buf, s.trigger_time.wrapping_sub(prev_trigger));
-    put_varint(buf, s.accesses.len() as u64);
+pub(crate) fn put_sample(w: &mut Writer, prev_trigger: u64, s: &Sample) {
+    w.varint(s.trigger_time.wrapping_sub(prev_trigger));
+    w.varint(s.accesses.len() as u64);
     let mut st = DeltaState::default();
     for a in &s.accesses {
-        put_access(buf, &mut st, a);
+        put_access(w, &mut st, a);
     }
 }
 
@@ -215,90 +117,74 @@ pub(crate) fn put_sample(buf: &mut BytesMut, prev_trigger: u64, s: &Sample) {
 /// length is validated against the remaining payload before any
 /// allocation, so a corrupt count errors instead of reserving memory
 /// for it.
-pub(crate) fn get_sample<B: Buf>(buf: &mut B, prev_trigger: u64) -> Result<Sample, ModelError> {
-    let trigger = prev_trigger.wrapping_add(get_varint(buf, "trigger_time")?);
-    let w = decoded_usize(get_varint(buf, "window")?, "window")?;
+pub(crate) fn get_sample(r: &mut Reader, prev_trigger: u64) -> Result<Sample, ModelError> {
+    let trigger = prev_trigger.wrapping_add(r.varint("trigger_time")?);
     // Every encoded access costs at least three bytes (three varints).
-    if w > buf.remaining() / 3 {
-        return Err(ModelError::Truncated {
-            context: "sample accesses",
-        });
-    }
-    let mut st = DeltaState::default();
-    let mut accesses = Vec::with_capacity(w);
-    for _ in 0..w {
-        accesses.push(get_access(buf, &mut st)?);
-    }
-    Ok(Sample::new(accesses, trigger))
+    let w = r.len(3, "sample accesses")?;
+    Ok(Sample::new(get_accesses(r, w)?, trigger))
 }
 
 /// Encode a sampled trace to its compact byte representation.
 pub fn encode_sampled(trace: &SampledTrace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + trace.observed_accesses() as usize * 4);
-    put_header(&mut buf, VERSION, KIND_SAMPLED);
-    put_meta(&mut buf, &trace.meta);
-    put_varint(&mut buf, trace.samples.len() as u64);
+    let mut buf = Vec::with_capacity(64 + trace.observed_accesses() as usize * 4);
+    let mut w = Writer::new(&mut buf);
+    put_header(&mut w, VERSION, KIND_SAMPLED);
+    put_meta(&mut w, &trace.meta);
+    w.varint(trace.samples.len() as u64);
     let mut prev_trigger = 0u64;
     for s in &trace.samples {
-        put_sample(&mut buf, prev_trigger, s);
+        put_sample(&mut w, prev_trigger, s);
         prev_trigger = s.trigger_time;
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Decode a sampled trace previously produced by [`encode_sampled`].
-pub fn decode_sampled(mut data: Bytes) -> Result<SampledTrace, ModelError> {
-    check_header(&mut data, KIND_SAMPLED)?;
-    let meta = get_meta(&mut data)?;
-    let n = decoded_usize(get_varint(&mut data, "num_samples")?, "num_samples")?;
+pub fn decode_sampled(data: Bytes) -> Result<SampledTrace, ModelError> {
+    let mut r = Reader::new(data.as_slice());
+    check_header(&mut r, VERSION, KIND_SAMPLED)?;
+    let meta = get_meta(&mut r)?;
     // Every encoded sample costs at least two bytes (two varints), so a
     // claimed count beyond that is corrupt; reject it before allocating.
-    if n > data.remaining() / 2 {
-        return Err(ModelError::Truncated { context: "samples" });
-    }
+    let n = r.len(2, "samples")?;
     let mut trace = SampledTrace::new(meta);
     let mut trigger = 0u64;
     for index in 0..n {
-        let s = get_sample(&mut data, trigger).map_err(|e| ModelError::InSample {
+        let s = get_sample(&mut r, trigger).map_err(|e| ModelError::InSample {
             index,
             source: Box::new(e),
         })?;
         trigger = s.trigger_time;
         trace.push_sample(s)?;
     }
+    r.finish("sampled trace")?;
     Ok(trace)
 }
 
 /// Encode a full trace.
 pub fn encode_full(trace: &FullTrace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + trace.accesses.len() * 4);
-    put_header(&mut buf, VERSION, KIND_FULL);
-    put_meta(&mut buf, &trace.meta);
-    put_varint(&mut buf, trace.dropped);
-    put_varint(&mut buf, trace.accesses.len() as u64);
+    let mut buf = Vec::with_capacity(64 + trace.accesses.len() * 4);
+    let mut w = Writer::new(&mut buf);
+    put_header(&mut w, VERSION, KIND_FULL);
+    put_meta(&mut w, &trace.meta);
+    w.varint(trace.dropped);
+    w.varint(trace.accesses.len() as u64);
     let mut st = DeltaState::default();
     for a in &trace.accesses {
-        put_access(&mut buf, &mut st, a);
+        put_access(&mut w, &mut st, a);
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Decode a full trace previously produced by [`encode_full`].
-pub fn decode_full(mut data: Bytes) -> Result<FullTrace, ModelError> {
-    check_header(&mut data, KIND_FULL)?;
-    let meta = get_meta(&mut data)?;
-    let dropped = get_varint(&mut data, "dropped")?;
-    let n = decoded_usize(get_varint(&mut data, "num_accesses")?, "num_accesses")?;
-    if n > data.remaining() / 3 {
-        return Err(ModelError::Truncated {
-            context: "accesses",
-        });
-    }
-    let mut st = DeltaState::default();
-    let mut accesses = Vec::with_capacity(n);
-    for _ in 0..n {
-        accesses.push(get_access(&mut data, &mut st)?);
-    }
+pub fn decode_full(data: Bytes) -> Result<FullTrace, ModelError> {
+    let mut r = Reader::new(data.as_slice());
+    check_header(&mut r, VERSION, KIND_FULL)?;
+    let meta = get_meta(&mut r)?;
+    let dropped = r.varint("dropped")?;
+    let n = r.len(3, "accesses")?;
+    let accesses = get_accesses(&mut r, n)?;
+    r.finish("full trace")?;
     Ok(FullTrace {
         meta,
         accesses,
@@ -323,6 +209,23 @@ mod tests {
     use super::*;
     use crate::access::Access;
     use crate::sample::{Sample, TraceMeta};
+
+    /// A v1 header and meta, ready for hand-built payload fields.
+    fn header(kind: u8, meta: &TraceMeta) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        put_header(&mut w, VERSION, kind);
+        put_meta(&mut w, meta);
+        buf
+    }
+
+    fn with_varints(mut buf: Vec<u8>, vs: &[u64]) -> Bytes {
+        let mut w = Writer::new(&mut buf);
+        for &v in vs {
+            w.varint(v);
+        }
+        Bytes::from(buf)
+    }
 
     fn mk_trace(samples: usize, w: usize) -> SampledTrace {
         let mut t = SampledTrace::new(TraceMeta::new("unit", 10_000, 16 << 10));
@@ -407,25 +310,18 @@ mod tests {
     fn corrupt_sample_count_is_rejected_without_allocating() {
         // Header + meta, then a sample count far beyond the payload: the
         // decoder must refuse before reserving memory for it.
-        let mut buf = BytesMut::new();
-        put_header(&mut buf, VERSION, KIND_SAMPLED);
-        put_meta(&mut buf, &TraceMeta::new("corrupt", 1000, 4096));
-        put_varint(&mut buf, u64::MAX >> 1);
+        let buf = header(KIND_SAMPLED, &TraceMeta::new("corrupt", 1000, 4096));
         assert!(matches!(
-            decode_sampled(buf.freeze()),
+            decode_sampled(with_varints(buf, &[u64::MAX >> 1])),
             Err(ModelError::Truncated { .. })
         ));
     }
 
     #[test]
     fn corrupt_window_count_is_rejected_without_allocating() {
-        let mut buf = BytesMut::new();
-        put_header(&mut buf, VERSION, KIND_SAMPLED);
-        put_meta(&mut buf, &TraceMeta::new("corrupt", 1000, 4096));
-        put_varint(&mut buf, 1); // one sample
-        put_varint(&mut buf, 5); // trigger delta
-        put_varint(&mut buf, u64::MAX >> 1); // absurd window length
-        match decode_sampled(buf.freeze()) {
+        let buf = header(KIND_SAMPLED, &TraceMeta::new("corrupt", 1000, 4096));
+        // One sample, trigger delta 5, absurd window length.
+        match decode_sampled(with_varints(buf, &[1, 5, u64::MAX >> 1])) {
             Err(ModelError::InSample { index: 0, source }) => {
                 assert!(matches!(*source, ModelError::Truncated { .. }));
             }
@@ -435,13 +331,10 @@ mod tests {
 
     #[test]
     fn corrupt_full_count_is_rejected() {
-        let mut buf = BytesMut::new();
-        put_header(&mut buf, VERSION, KIND_FULL);
-        put_meta(&mut buf, &TraceMeta::new("corrupt", 0, 0));
-        put_varint(&mut buf, 0); // dropped
-        put_varint(&mut buf, u64::MAX >> 1); // absurd access count
+        let buf = header(KIND_FULL, &TraceMeta::new("corrupt", 0, 0));
+        // Zero dropped, absurd access count.
         assert!(matches!(
-            decode_full(buf.freeze()),
+            decode_full(with_varints(buf, &[0, u64::MAX >> 1])),
             Err(ModelError::Truncated { .. })
         ));
     }
@@ -449,11 +342,12 @@ mod tests {
     #[test]
     fn overlong_varint_is_rejected() {
         // Eleven continuation bytes cannot encode a u64.
-        let mut buf = BytesMut::new();
-        put_header(&mut buf, VERSION, KIND_SAMPLED);
-        buf.put_slice(&[0xff; 11]);
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        put_header(&mut w, VERSION, KIND_SAMPLED);
+        w.bytes(&[0xff; 11]);
         assert!(matches!(
-            decode_sampled(buf.freeze()),
+            decode_sampled(Bytes::from(buf)),
             Err(ModelError::BadHeader { .. })
         ));
     }
@@ -469,19 +363,17 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_inverts() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN, 12345, -98765] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
-
-    #[test]
-    fn varint_roundtrip_boundaries() {
-        for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX] {
-            let mut buf = BytesMut::new();
-            put_varint(&mut buf, v);
-            let mut b = buf.freeze();
-            assert_eq!(get_varint(&mut b, "t").unwrap(), v);
+    fn backwards_access_time_is_a_typed_error() {
+        // One sample of two accesses whose second time delta wraps past
+        // u64::MAX: a time running backwards, which `Sample::new`
+        // asserts against. The decoder must reject it first.
+        let buf = header(KIND_SAMPLED, &TraceMeta::new("corrupt", 1000, 4096));
+        let data = with_varints(buf, &[1, 0, 2, 0, 0, 10, 0, 0, u64::MAX]);
+        match decode_sampled(data) {
+            Err(ModelError::InSample { index: 0, source }) => {
+                assert!(matches!(*source, ModelError::BadHeader { .. }));
+            }
+            other => panic!("expected InSample, got {other:?}"),
         }
     }
 }

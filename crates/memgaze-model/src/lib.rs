@@ -22,6 +22,7 @@ pub mod ratio;
 pub mod sample;
 pub mod stream;
 pub mod symbols;
+pub mod wire;
 
 pub use access::{Access, LoadClass};
 pub use addr::{Addr, BlockSize, Ip};
@@ -35,3 +36,4 @@ pub use stream::{
     FrameIndexEntry, Shard, ShardReader, ShardWriter, DEFAULT_SHARD_SAMPLES,
 };
 pub use symbols::{FunctionId, FunctionSym, SymbolTable};
+pub use wire::{WireError, WireErrorKind};

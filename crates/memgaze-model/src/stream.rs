@@ -41,11 +41,9 @@
 
 use crate::error::ModelError;
 use crate::hash::fnv1a64;
-use crate::io::{
-    decoded_usize, get_sample, get_varint, put_header, put_meta, put_sample, put_varint,
-};
+use crate::io::{check_header, get_meta, get_sample, put_header, put_meta, put_sample};
 use crate::sample::{Sample, SampledTrace, TraceMeta};
-use bytes::{Buf, BytesMut};
+use crate::wire::{self, Reader, Writer};
 use std::io::{Read, Write};
 
 const VERSION_SHARDED: u16 = 2;
@@ -184,92 +182,49 @@ impl FrameIndex {
 
     /// Serialize the index (`MGZX` framing, FNV-checksummed).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(32 + self.entries.len() * 16);
-        buf.extend_from_slice(INDEX_MAGIC);
-        buf.extend_from_slice(&INDEX_VERSION.to_le_bytes());
-        put_varint(&mut buf, self.header_len);
-        buf.extend_from_slice(&self.header_checksum.to_le_bytes());
-        put_varint(&mut buf, self.container_len);
-        put_varint(&mut buf, self.total_loads);
-        put_varint(&mut buf, self.total_instrumented_loads);
-        put_varint(&mut buf, self.entries.len() as u64);
+        let mut buf = Vec::with_capacity(32 + self.entries.len() * 16);
+        let mut w = Writer::framed(&mut buf, INDEX_MAGIC, INDEX_VERSION);
+        w.varint(self.header_len);
+        w.u64_le(self.header_checksum);
+        w.varint(self.container_len);
+        w.varint(self.total_loads);
+        w.varint(self.total_instrumented_loads);
+        w.varint(self.entries.len() as u64);
         let mut prev_offset = 0u64;
         for e in &self.entries {
             // Offsets are strictly increasing, so delta-encode them.
-            put_varint(&mut buf, e.offset - prev_offset);
+            w.varint(e.offset - prev_offset);
             prev_offset = e.offset;
-            put_varint(&mut buf, e.len);
-            put_varint(&mut buf, e.samples);
-            buf.extend_from_slice(&e.checksum.to_le_bytes());
+            w.varint(e.len);
+            w.varint(e.samples);
+            w.u64_le(e.checksum);
         }
-        let sum = fnv1a64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf.to_vec()
+        w.seal();
+        buf
     }
 
     /// Decode a serialized index, rejecting truncation and corruption.
     pub fn decode(data: &[u8]) -> Result<FrameIndex, ModelError> {
-        if data.len() < 14 {
-            return Err(ModelError::Truncated {
-                context: "frame index",
-            });
-        }
-        let (body, sum_bytes) = data.split_at(data.len() - 8);
-        let want = u64::from_le_bytes(sum_bytes.try_into().expect("split_at gave 8 bytes"));
-        if fnv1a64(body) != want {
-            return Err(ModelError::BadHeader {
-                detail: "frame index checksum mismatch".to_string(),
-            });
-        }
-        let mut src = body;
-        let mut magic = [0u8; 4];
-        src.read_exact(&mut magic)
-            .map_err(|e| map_eof(e, "frame index magic"))?;
-        if &magic != INDEX_MAGIC {
-            return Err(ModelError::BadHeader {
-                detail: format!("frame index magic {magic:?}"),
-            });
-        }
-        let mut ver = [0u8; 2];
-        src.read_exact(&mut ver)
-            .map_err(|e| map_eof(e, "frame index version"))?;
-        let ver = u16::from_le_bytes(ver);
-        if ver != INDEX_VERSION {
-            return Err(ModelError::BadHeader {
-                detail: format!("frame index version {ver}, expected {INDEX_VERSION}"),
-            });
-        }
-        let header_len = read_varint(&mut src, "index header_len")?;
-        let header_checksum = read_u64_le(&mut src, "index header_checksum")?;
-        let container_len = read_varint(&mut src, "index container_len")?;
-        let total_loads = read_varint(&mut src, "index total_loads")?;
-        let total_instrumented_loads = read_varint(&mut src, "index total_instr")?;
-        let n = decoded_usize(
-            read_varint(&mut src, "index entry count")?,
-            "index entry count",
-        )?;
+        let mut r = wire::open(data, INDEX_MAGIC, INDEX_VERSION, "frame index")?;
+        let header_len = r.varint("index header_len")?;
+        let header_checksum = r.u64_le("index header_checksum")?;
+        let container_len = r.varint("index container_len")?;
+        let total_loads = r.varint("index total_loads")?;
+        let total_instrumented_loads = r.varint("index total_instr")?;
         // Each entry is at least 11 bytes encoded; bound the allocation.
-        if n > body.len() / 11 {
-            return Err(ModelError::Truncated {
-                context: "frame index entries",
-            });
-        }
+        let n = r.len(11, "frame index entries")?;
         let mut entries = Vec::with_capacity(n);
         let mut offset = 0u64;
         for _ in 0..n {
-            offset += read_varint(&mut src, "index entry offset")?;
+            offset = r.delta(offset, "index entry offset")?;
             entries.push(FrameIndexEntry {
                 offset,
-                len: read_varint(&mut src, "index entry len")?,
-                samples: read_varint(&mut src, "index entry samples")?,
-                checksum: read_u64_le(&mut src, "index entry checksum")?,
+                len: r.varint("index entry len")?,
+                samples: r.varint("index entry samples")?,
+                checksum: r.u64_le("index entry checksum")?,
             });
         }
-        if !src.is_empty() {
-            return Err(ModelError::BadHeader {
-                detail: format!("{} trailing bytes in frame index", src.len()),
-            });
-        }
+        r.finish("frame index")?;
         Ok(FrameIndex {
             header_len,
             header_checksum,
@@ -286,7 +241,7 @@ pub struct ShardWriter<W: Write> {
     sink: W,
     shards: u64,
     samples: u64,
-    scratch: BytesMut,
+    scratch: Vec<u8>,
     /// Bytes written so far (header + frames).
     pos: u64,
     header_len: u64,
@@ -299,15 +254,16 @@ impl<W: Write> ShardWriter<W> {
     /// totals in `meta` are placeholders; [`finish`](Self::finish)
     /// writes the real values into the trailer.
     pub fn new(mut sink: W, meta: &TraceMeta) -> Result<ShardWriter<W>, ModelError> {
-        let mut buf = BytesMut::with_capacity(64);
-        put_header(&mut buf, VERSION_SHARDED, KIND_SHARDED);
-        put_meta(&mut buf, meta);
+        let mut buf = Vec::with_capacity(64);
+        let mut w = Writer::new(&mut buf);
+        put_header(&mut w, VERSION_SHARDED, KIND_SHARDED);
+        put_meta(&mut w, meta);
         sink.write_all(&buf)?;
         Ok(ShardWriter {
             sink,
             shards: 0,
             samples: 0,
-            scratch: BytesMut::new(),
+            scratch: Vec::new(),
             pos: buf.len() as u64,
             header_len: buf.len() as u64,
             header_checksum: fnv1a64(&buf),
@@ -320,16 +276,17 @@ impl<W: Write> ShardWriter<W> {
     /// in bytes.
     pub fn write_shard(&mut self, samples: &[Sample]) -> Result<usize, ModelError> {
         self.scratch.clear();
-        put_varint(&mut self.scratch, samples.len() as u64);
+        let mut w = Writer::new(&mut self.scratch);
+        w.varint(samples.len() as u64);
         // The trigger delta chain restarts per frame so each frame is
         // decodable without its predecessors.
         let mut prev_trigger = 0u64;
         for s in samples {
-            put_sample(&mut self.scratch, prev_trigger, s);
+            put_sample(&mut w, prev_trigger, s);
             prev_trigger = s.trigger_time;
         }
-        let mut head = BytesMut::with_capacity(10);
-        put_varint(&mut head, self.scratch.len() as u64);
+        let mut head = Vec::with_capacity(10);
+        Writer::new(&mut head).varint(self.scratch.len() as u64);
         self.sink.write_all(&head)?;
         self.sink.write_all(&self.scratch)?;
         self.entries.push(FrameIndexEntry {
@@ -370,10 +327,11 @@ impl<W: Write> ShardWriter<W> {
                 samples: self.samples,
             });
         }
-        let mut tail = BytesMut::with_capacity(24);
-        put_varint(&mut tail, 0);
-        put_varint(&mut tail, total_loads);
-        put_varint(&mut tail, total_instrumented_loads);
+        let mut tail = Vec::with_capacity(24);
+        let mut w = Writer::new(&mut tail);
+        w.varint(0);
+        w.varint(total_loads);
+        w.varint(total_instrumented_loads);
         self.sink.write_all(&tail)?;
         self.sink.flush()?;
         let index = FrameIndex {
@@ -421,6 +379,8 @@ pub struct ShardReader<R: Read> {
     src: R,
     meta: TraceMeta,
     next_index: u64,
+    /// Samples decoded so far, checked against the trailer's totals.
+    samples: u64,
     done: bool,
     /// Frame-payload scratch reused across frames, so a steady-state
     /// read decodes every frame into already-warm capacity.
@@ -429,30 +389,30 @@ pub struct ShardReader<R: Read> {
 
 impl<R: Read> ShardReader<R> {
     /// Read and validate the container header and provisional metadata.
+    /// The header bytes are gathered off the stream first and then
+    /// parsed by the same decoder as every in-memory format.
     pub fn new(mut src: R) -> Result<ShardReader<R>, ModelError> {
-        let mut hdr = [0u8; 7];
-        src.read_exact(&mut hdr).map_err(|e| map_eof(e, "header"))?;
-        if &hdr[..4] != crate::io::MAGIC {
-            return Err(ModelError::BadHeader {
-                detail: format!("magic {:?}", &hdr[..4]),
-            });
+        let mut head = vec![0u8; 7];
+        src.read_exact(&mut head)
+            .map_err(|e| map_eof(e, "header"))?;
+        check_header(&mut Reader::new(&head), VERSION_SHARDED, KIND_SHARDED)?;
+        let name_len =
+            pull_varint(&mut src, &mut head, "meta.workload")?.varint("meta.workload")?;
+        pull_bytes(&mut src, &mut head, name_len, "meta.workload")?;
+        for field in [
+            "meta.period",
+            "meta.buffer_bytes",
+            "meta.total_loads",
+            "meta.total_instr",
+        ] {
+            pull_varint(&mut src, &mut head, field)?;
         }
-        let ver = u16::from_le_bytes([hdr[4], hdr[5]]);
-        if ver != VERSION_SHARDED {
-            return Err(ModelError::BadHeader {
-                detail: format!("version {ver}, expected {VERSION_SHARDED}"),
-            });
-        }
-        if hdr[6] != KIND_SHARDED {
-            return Err(ModelError::BadHeader {
-                detail: format!("kind {}, expected {KIND_SHARDED}", hdr[6]),
-            });
-        }
-        let meta = read_meta(&mut src)?;
+        let meta = get_meta(&mut Reader::new(&head[7..]))?;
         Ok(ShardReader {
             src,
             meta,
             next_index: 0,
+            samples: 0,
             done: false,
             payload: Vec::new(),
         })
@@ -471,34 +431,39 @@ impl<R: Read> ShardReader<R> {
 
     fn next_shard(&mut self) -> Result<Option<Shard>, ModelError> {
         let _span = memgaze_obs::span("model.decode_frame");
-        let len = read_varint(&mut self.src, "frame length")?;
-        if len == 0 {
-            self.meta.total_loads = read_varint(&mut self.src, "trailer total_loads")?;
+        self.payload.clear();
+        let encoded_bytes =
+            pull_varint(&mut self.src, &mut self.payload, "frame length")?.usize("frame length")?;
+        if encoded_bytes == 0 {
+            let mut r = pull_varint(&mut self.src, &mut self.payload, "trailer total_loads")?;
+            let total_loads = r.varint("trailer total_loads")?;
+            // Every sample is triggered by at least one load; the writer
+            // refuses to seal a trailer that says otherwise.
+            if total_loads < self.samples {
+                return Err(ModelError::InconsistentTotals {
+                    total_loads,
+                    samples: self.samples,
+                });
+            }
+            self.meta.total_loads = total_loads;
             self.meta.total_instrumented_loads =
-                read_varint(&mut self.src, "trailer total_instrumented_loads")?;
+                pull_varint(&mut self.src, &mut self.payload, "trailer total_instr")?
+                    .varint("trailer total_instr")?;
             return Ok(None);
         }
-        // A frame that cannot fit in this platform's address space is
-        // rejected up front with a typed error — on 32-bit targets an
-        // `as usize` narrowing here would wrap instead.
-        let encoded_bytes = decoded_usize(len, "frame length")?;
-        // Read exactly `len` payload bytes into the reusable scratch.
-        // `take` + `read_to_end` grows the buffer only as data actually
-        // arrives, so a corrupt length on a truncated stream cannot
-        // trigger a giant allocation.
         self.payload.clear();
-        self.payload.reserve(encoded_bytes.min(1 << 20));
-        let got = (&mut self.src).take(len).read_to_end(&mut self.payload)?;
-        if got as u64 != len {
-            return Err(ModelError::Truncated {
-                context: "shard frame",
-            });
-        }
+        pull_bytes(
+            &mut self.src,
+            &mut self.payload,
+            encoded_bytes as u64,
+            "shard frame",
+        )?;
         let samples = decode_frame_payload(&self.payload)?;
         memgaze_obs::counter!("model.frames_decoded").add(1);
-        memgaze_obs::counter!("model.frame_bytes").add(len);
+        memgaze_obs::counter!("model.frame_bytes").add(encoded_bytes as u64);
         let index = self.next_index;
         self.next_index += 1;
+        self.samples += samples.len() as u64;
         Ok(Some(Shard {
             index,
             samples,
@@ -536,31 +501,20 @@ impl<R: Read> Iterator for ShardReader<R> {
 /// [`ShardReader`], the seeking [`FrameIndex::read_frame`], and the
 /// `memgaze-store` blob path, which holds frame payloads outside any
 /// container.
-pub fn decode_frame_payload(mut buf: &[u8]) -> Result<Vec<Sample>, ModelError> {
-    let n = decoded_usize(
-        get_varint(&mut buf, "shard num_samples")?,
-        "shard num_samples",
-    )?;
-    if n > buf.remaining() / 2 {
-        return Err(ModelError::Truncated {
-            context: "shard samples",
-        });
-    }
+pub fn decode_frame_payload(buf: &[u8]) -> Result<Vec<Sample>, ModelError> {
+    let mut r = Reader::new(buf);
+    let n = r.len(2, "shard samples")?;
     let mut samples = Vec::with_capacity(n);
     let mut prev_trigger = 0u64;
     for index in 0..n {
-        let s = get_sample(&mut buf, prev_trigger).map_err(|e| ModelError::InSample {
+        let s = get_sample(&mut r, prev_trigger).map_err(|e| ModelError::InSample {
             index,
             source: Box::new(e),
         })?;
         prev_trigger = s.trigger_time;
         samples.push(s);
     }
-    if buf.has_remaining() {
-        return Err(ModelError::BadHeader {
-            detail: format!("{} trailing bytes in shard frame", buf.remaining()),
-        });
-    }
+    r.finish("shard frame")?;
     Ok(samples)
 }
 
@@ -586,12 +540,17 @@ pub fn encode_sharded_indexed(trace: &SampledTrace, shard_samples: usize) -> (Ve
 
 /// Decode a v2 sharded container back into a resident trace.
 pub fn decode_sharded(data: &[u8]) -> Result<SampledTrace, ModelError> {
-    let mut reader = ShardReader::new(data)?;
+    let mut rest = data;
+    let mut reader = ShardReader::new(&mut rest)?;
     let mut samples = Vec::new();
     for shard in reader.by_ref() {
         samples.extend(shard?.samples);
     }
-    let mut trace = SampledTrace::new(reader.meta().clone());
+    let meta = reader.meta().clone();
+    // In memory the container's end is known: nothing may follow the
+    // trailer.
+    Reader::new(rest).finish("sharded container")?;
+    let mut trace = SampledTrace::new(meta);
     for s in samples {
         trace.push_sample(s)?;
     }
@@ -606,56 +565,41 @@ fn map_eof(e: std::io::Error, context: &'static str) -> ModelError {
     }
 }
 
-fn read_byte<R: Read>(src: &mut R, context: &'static str) -> Result<u8, ModelError> {
-    let mut b = [0u8; 1];
-    src.read_exact(&mut b).map_err(|e| map_eof(e, context))?;
-    Ok(b[0])
-}
-
-fn read_varint<R: Read>(src: &mut R, context: &'static str) -> Result<u64, ModelError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
+/// Move one varint's bytes (at most ten) from `src` onto the end of
+/// `buf` and return a [`Reader`] over them, so stream prefixes decode
+/// with the same checks as in-memory data.
+fn pull_varint<'b, R: Read>(
+    src: &mut R,
+    buf: &'b mut Vec<u8>,
+    field: &'static str,
+) -> Result<Reader<'b>, ModelError> {
+    let start = buf.len();
     loop {
-        let byte = read_byte(src, context)?;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(ModelError::BadHeader {
-                detail: format!("varint overflow in {context}"),
-            });
+        let mut byte = [0u8; 1];
+        src.read_exact(&mut byte).map_err(|e| map_eof(e, field))?;
+        buf.push(byte[0]);
+        if byte[0] & 0x80 == 0 || buf.len() - start == 10 {
+            return Ok(Reader::new(&buf[start..]));
         }
     }
 }
 
-fn read_u64_le<R: Read>(src: &mut R, context: &'static str) -> Result<u64, ModelError> {
-    let mut b = [0u8; 8];
-    src.read_exact(&mut b).map_err(|e| map_eof(e, context))?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_string<R: Read>(src: &mut R, context: &'static str) -> Result<String, ModelError> {
-    let len = decoded_usize(read_varint(src, context)?, context)?;
-    let mut raw = Vec::with_capacity(len.min(1 << 16));
-    let got = src.take(len as u64).read_to_end(&mut raw)?;
-    if got != len {
-        return Err(ModelError::Truncated { context });
+/// Move exactly `n` bytes from `src` onto the end of `buf`. The buffer
+/// grows only as data actually arrives (`take` + `read_to_end`), so a
+/// corrupt length on a truncated stream cannot force a giant
+/// allocation.
+fn pull_bytes<R: Read>(
+    src: &mut R,
+    buf: &mut Vec<u8>,
+    n: u64,
+    field: &'static str,
+) -> Result<(), ModelError> {
+    buf.reserve(n.min(1 << 20) as usize);
+    let got = src.take(n).read_to_end(buf)?;
+    if got as u64 != n {
+        return Err(ModelError::Truncated { context: field });
     }
-    String::from_utf8(raw).map_err(|_| ModelError::BadHeader {
-        detail: format!("non-utf8 string in {context}"),
-    })
-}
-
-fn read_meta<R: Read>(src: &mut R) -> Result<TraceMeta, ModelError> {
-    Ok(TraceMeta {
-        workload: read_string(src, "meta.workload")?,
-        period: read_varint(src, "meta.period")?,
-        buffer_bytes: read_varint(src, "meta.buffer_bytes")?,
-        total_loads: read_varint(src, "meta.total_loads")?,
-        total_instrumented_loads: read_varint(src, "meta.total_instr")?,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -663,6 +607,15 @@ mod tests {
     use super::*;
     use crate::access::Access;
     use crate::io::encode_sampled;
+
+    /// A v2 header and meta, ready for hand-built frames.
+    fn header(meta: &TraceMeta) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        put_header(&mut w, VERSION_SHARDED, KIND_SHARDED);
+        put_meta(&mut w, meta);
+        buf
+    }
 
     fn mk_trace(samples: usize, w: usize) -> SampledTrace {
         let mut t = SampledTrace::new(TraceMeta::new("stream-unit", 10_000, 16 << 10));
@@ -781,14 +734,11 @@ mod tests {
 
     #[test]
     fn corrupt_frame_count_is_rejected_without_allocating() {
-        let mut buf = BytesMut::new();
-        put_header(&mut buf, VERSION_SHARDED, KIND_SHARDED);
-        put_meta(&mut buf, &TraceMeta::new("corrupt", 1000, 4096));
-        // Frame of 3 bytes claiming an absurd sample count.
-        let mut payload = BytesMut::new();
-        put_varint(&mut payload, u64::MAX >> 1);
-        put_varint(&mut buf, payload.len() as u64);
-        buf.extend_from_slice(&payload);
+        let mut buf = header(&TraceMeta::new("corrupt", 1000, 4096));
+        // Frame of 9 bytes claiming an absurd sample count.
+        let mut payload = Vec::new();
+        Writer::new(&mut payload).varint(u64::MAX >> 1);
+        Writer::new(&mut buf).len_bytes(&payload);
         let reader = ShardReader::new(&buf[..]).unwrap();
         let results: Vec<Result<Shard, ModelError>> = reader.collect();
         match results.last().unwrap() {
@@ -808,18 +758,19 @@ mod tests {
 
         // A frame payload claiming u64::MAX samples is rejected before
         // any allocation (Oversize on 32-bit, count-vs-bytes bound here).
-        let mut payload = BytesMut::new();
-        put_varint(&mut payload, u64::MAX);
+        let mut payload = Vec::new();
+        Writer::new(&mut payload).varint(u64::MAX);
         match decode_frame_payload(&payload) {
             Err(ModelError::Truncated { .. } | ModelError::Oversize { .. }) => {}
             other => panic!("expected typed rejection, got {other:?}"),
         }
 
         // A meta string whose length varint claims u64::MAX bytes.
-        let mut buf = BytesMut::new();
-        put_header(&mut buf, VERSION_SHARDED, KIND_SHARDED);
-        put_varint(&mut buf, u64::MAX); // meta.workload length
-        buf.extend_from_slice(b"x");
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        put_header(&mut w, VERSION_SHARDED, KIND_SHARDED);
+        w.varint(u64::MAX); // meta.workload length
+        w.bytes(b"x");
         match ShardReader::new(&buf[..]) {
             Err(ModelError::Truncated { .. } | ModelError::Oversize { .. }) => {}
             Err(other) => panic!("expected typed rejection, got {other:?}"),
@@ -827,8 +778,14 @@ mod tests {
         }
 
         // A varint that never terminates within 64 bits of shift.
-        let overlong = [0xffu8; 11];
-        match read_varint(&mut &overlong[..], "overlong") {
+        let mut overlong = Vec::new();
+        put_header(
+            &mut Writer::new(&mut overlong),
+            VERSION_SHARDED,
+            KIND_SHARDED,
+        );
+        overlong.extend_from_slice(&[0xff; 11]);
+        match ShardReader::new(&overlong[..]).map(|_| ()) {
             Err(ModelError::BadHeader { detail }) => assert!(detail.contains("varint overflow")),
             other => panic!("expected varint overflow, got {other:?}"),
         }

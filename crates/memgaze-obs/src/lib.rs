@@ -41,7 +41,7 @@ mod metrics;
 mod profile;
 
 pub use event::{Event, SpanCtx};
-pub use json::{parse as parse_json, Value};
+pub use json::{escape_into as json_escape_into, parse as parse_json, Value};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use profile::{
     exclusive_by_name, render_profile, render_summary, stats as profile_stats, ProfileStats,

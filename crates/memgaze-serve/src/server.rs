@@ -8,7 +8,7 @@
 //! its deltas — so a SIGTERM'd server never loses an accepted shard.
 
 use crate::error::ServeError;
-use crate::http::{json_escape, read_request, HttpError, Request, Response};
+use crate::http::{read_request, HttpError, Request, Response};
 use crate::pool::ThreadPool;
 use crate::session::Registry;
 use crate::ServeConfig;
@@ -247,11 +247,9 @@ enum Routed {
 
 /// Render a [`ServeError`] as its HTTP response.
 fn error_response(e: &ServeError) -> Response {
-    let body = format!(
-        "{{\"error\":\"{}\",\"detail\":\"{}\"}}",
-        e.kind(),
-        json_escape(&e.to_string())
-    );
+    let mut body = format!("{{\"error\":\"{}\",\"detail\":\"", e.kind());
+    memgaze_obs::json_escape_into(&mut body, &e.to_string());
+    body.push_str("\"}");
     let mut resp = Response::json(e.status(), body);
     if let Some(secs) = e.retry_after() {
         resp = resp.header("Retry-After", secs);

@@ -544,14 +544,16 @@ fn window_json(session: &str, s: &WindowStats) -> String {
 
 /// Render one anomaly mark as a watch-hub event payload.
 fn anomaly_json(session: &str, m: &AnomalyMark) -> String {
-    format!(
+    let mut out = format!(
         "{{\"session\":\"{session}\",\"window\":{},\"metric\":\"{}\",\"ratio\":{:.3},\
-         \"detail\":\"{}\"}}",
+         \"detail\":\"",
         m.window,
         m.kind.metric(),
         m.ratio,
-        crate::http::json_escape(&m.detail())
-    )
+    );
+    memgaze_obs::json_escape_into(&mut out, &m.detail());
+    out.push_str("\"}");
+    out
 }
 
 /// Write one SSE event to every subscriber, dropping the dead ones.

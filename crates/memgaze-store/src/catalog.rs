@@ -37,6 +37,7 @@ use crate::blob::content_hash;
 use crate::error::StoreError;
 use memgaze_analysis::{analyze_window, BlockReuse};
 use memgaze_model::stream::decode_frame_payload;
+use memgaze_model::wire::{self, Reader, WireError, WireErrorKind, Writer};
 use memgaze_model::{fnv1a64, BlockSize, FrameIndex, ModelError, SymbolTable, TraceMeta};
 use std::collections::BTreeMap;
 
@@ -232,163 +233,109 @@ impl Catalog {
     /// Serialize (MGZC framing, FNV-checksummed).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(256 + self.frames.len() * 64);
-        buf.extend_from_slice(CATALOG_MAGIC);
-        buf.extend_from_slice(&CATALOG_VERSION.to_le_bytes());
-        put_string(&mut buf, &self.trace_id);
-        buf.push(self.summary_block.log2());
-        put_bytes(&mut buf, &self.header_bytes);
-        put_bytes(&mut buf, &self.trailer_bytes);
-        put_varint(&mut buf, self.container_len);
-        buf.extend_from_slice(&self.container_checksum.to_le_bytes());
-        put_varint(&mut buf, self.total_loads);
-        put_varint(&mut buf, self.total_instrumented_loads);
-        put_varint(&mut buf, self.func_names.len() as u64);
+        let mut w = Writer::framed(&mut buf, CATALOG_MAGIC, CATALOG_VERSION);
+        w.str(&self.trace_id);
+        w.u8(self.summary_block.log2());
+        w.len_bytes(&self.header_bytes);
+        w.len_bytes(&self.trailer_bytes);
+        w.varint(self.container_len);
+        w.u64_le(self.container_checksum);
+        w.varint(self.total_loads);
+        w.varint(self.total_instrumented_loads);
+        w.varint(self.func_names.len() as u64);
         for name in &self.func_names {
-            put_string(&mut buf, name);
+            w.str(name);
         }
-        put_varint(&mut buf, self.frames.len() as u64);
+        w.varint(self.frames.len() as u64);
         for f in &self.frames {
-            buf.extend_from_slice(&f.hash.to_le_bytes());
-            put_varint(&mut buf, f.len);
-            put_varint(&mut buf, f.samples);
-            put_varint(&mut buf, f.loads);
-            put_range(&mut buf, f.time_range);
-            put_range(&mut buf, f.addr_range);
-            put_varint(&mut buf, f.reuse_rows.len() as u64);
+            w.u64_le(f.hash);
+            w.varint(f.len);
+            w.varint(f.samples);
+            w.varint(f.loads);
+            put_range(&mut w, f.time_range);
+            put_range(&mut w, f.addr_range);
+            w.varint(f.reuse_rows.len() as u64);
             let mut prev_block = 0u64;
             for &(block, stats) in &f.reuse_rows {
                 // Blocks are strictly increasing: delta-code them.
-                put_varint(&mut buf, block - prev_block);
+                w.varint(block - prev_block);
                 prev_block = block;
                 for s in stats {
-                    put_varint(&mut buf, s);
+                    w.varint(s);
                 }
             }
-            put_varint(&mut buf, f.func_loads.len() as u64);
+            w.varint(f.func_loads.len() as u64);
             for &(id, loads) in &f.func_loads {
-                put_varint(&mut buf, u64::from(id));
-                put_varint(&mut buf, loads);
+                w.varint(u64::from(id));
+                w.varint(loads);
             }
         }
-        let sum = fnv1a64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
+        w.seal();
         buf
     }
 
     /// Decode a serialized catalog for trace `id`, rejecting truncation
     /// and corruption with [`StoreError::CorruptCatalog`].
     pub fn decode(id: &str, data: &[u8]) -> Result<Catalog, StoreError> {
-        let corrupt = |detail: String| StoreError::CorruptCatalog {
+        Catalog::decode_wire(data).map_err(|e| StoreError::CorruptCatalog {
             id: id.to_string(),
-            detail,
-        };
-        if data.len() < 14 {
-            return Err(corrupt(format!("{} bytes is too short", data.len())));
+            detail: e.to_string(),
+        })
+    }
+
+    fn decode_wire(data: &[u8]) -> Result<Catalog, WireError> {
+        let mut r = wire::open(data, CATALOG_MAGIC, CATALOG_VERSION, "catalog")?;
+        let trace_id = r.string("trace id")?;
+        let summary_block = r.u8("summary block")?;
+        if summary_block >= 64 {
+            return Err(r.error(
+                "summary block",
+                WireErrorKind::Invalid {
+                    value: summary_block.into(),
+                },
+            ));
         }
-        let (body, sum_bytes) = data.split_at(data.len() - 8);
-        let want = u64::from_le_bytes(sum_bytes.try_into().expect("split_at gave 8 bytes"));
-        let got = fnv1a64(body);
-        if got != want {
-            return Err(corrupt(format!(
-                "checksum {got:#018x} != stored {want:#018x}"
-            )));
-        }
-        let mut r = Dec { src: body, pos: 0 };
-        let magic = r.take(4).ok_or_else(|| corrupt("truncated magic".into()))?;
-        if magic != CATALOG_MAGIC {
-            return Err(corrupt(format!("bad magic {magic:?}")));
-        }
-        let ver = r
-            .u16_le()
-            .ok_or_else(|| corrupt("truncated version".into()))?;
-        if ver != CATALOG_VERSION {
-            return Err(corrupt(format!(
-                "version {ver}, expected {CATALOG_VERSION}"
-            )));
-        }
-        let trace_id = r
-            .string()
-            .ok_or_else(|| corrupt("bad trace id field".into()))?;
-        let summary_block = BlockSize::from_log2(
-            r.byte()
-                .filter(|&b| b < 64)
-                .ok_or_else(|| corrupt("bad summary block".into()))?,
-        );
-        let header_bytes = r
-            .bytes()
-            .ok_or_else(|| corrupt("truncated header bytes".into()))?;
-        let trailer_bytes = r
-            .bytes()
-            .ok_or_else(|| corrupt("truncated trailer bytes".into()))?;
-        let container_len = r
-            .varint()
-            .ok_or_else(|| corrupt("truncated container length".into()))?;
-        let container_checksum = r
-            .u64_le()
-            .ok_or_else(|| corrupt("truncated container checksum".into()))?;
-        let total_loads = r
-            .varint()
-            .ok_or_else(|| corrupt("truncated total loads".into()))?;
-        let total_instrumented_loads = r
-            .varint()
-            .ok_or_else(|| corrupt("truncated instrumented loads".into()))?;
-        let nfuncs =
-            r.varint()
-                .ok_or_else(|| corrupt("truncated function count".into()))? as usize;
-        if nfuncs > body.len() {
-            return Err(corrupt(format!("function count {nfuncs} exceeds catalog")));
-        }
+        let header_bytes = r.len_bytes("header bytes")?.to_vec();
+        let trailer_bytes = r.len_bytes("trailer bytes")?.to_vec();
+        let container_len = r.varint("container length")?;
+        let container_checksum = r.u64_le("container checksum")?;
+        let total_loads = r.varint("total loads")?;
+        let total_instrumented_loads = r.varint("instrumented loads")?;
+        let nfuncs = r.len(1, "function count")?;
         let mut func_names = Vec::with_capacity(nfuncs);
         for _ in 0..nfuncs {
-            func_names.push(
-                r.string()
-                    .ok_or_else(|| corrupt("bad function name".into()))?,
-            );
+            func_names.push(r.string("function name")?);
         }
-        let nframes = r
-            .varint()
-            .ok_or_else(|| corrupt("truncated frame count".into()))? as usize;
         // Each frame is at least 14 encoded bytes; bound the allocation.
-        if nframes > body.len() / 14 {
-            return Err(corrupt(format!("frame count {nframes} exceeds catalog")));
-        }
+        let nframes = r.len(14, "frame count")?;
         let mut frames = Vec::with_capacity(nframes);
-        for i in 0..nframes {
-            let bad = |what: &str| corrupt(format!("frame {i}: bad {what}"));
-            let hash = r.u64_le().ok_or_else(|| bad("hash"))?;
-            let len = r.varint().ok_or_else(|| bad("length"))?;
-            let samples = r.varint().ok_or_else(|| bad("sample count"))?;
-            let loads = r.varint().ok_or_else(|| bad("load count"))?;
-            let time_range = get_range(&mut r).ok_or_else(|| bad("time range"))?;
-            let addr_range = get_range(&mut r).ok_or_else(|| bad("address range"))?;
-            let nrows = r.varint().ok_or_else(|| bad("reuse row count"))? as usize;
-            if nrows > body.len() / 5 {
-                return Err(bad("reuse row count"));
-            }
+        for _ in 0..nframes {
+            let hash = r.u64_le("frame hash")?;
+            let len = r.varint("frame length")?;
+            let samples = r.varint("frame sample count")?;
+            let loads = r.varint("frame load count")?;
+            let time_range = get_range(&mut r, "frame time range")?;
+            let addr_range = get_range(&mut r, "frame address range")?;
+            // A delta and four stats: at least 5 bytes per row.
+            let nrows = r.len(5, "reuse row count")?;
             let mut reuse_rows = Vec::with_capacity(nrows);
             let mut block = 0u64;
             for _ in 0..nrows {
-                block = block
-                    .checked_add(r.varint().ok_or_else(|| bad("reuse block"))?)
-                    .ok_or_else(|| bad("reuse block"))?;
+                block = r.delta(block, "reuse block")?;
                 let mut stats = [0u64; 4];
                 for s in &mut stats {
-                    *s = r.varint().ok_or_else(|| bad("reuse stat"))?;
+                    *s = r.varint("reuse stat")?;
                 }
                 reuse_rows.push((block, stats));
             }
-            let nfl = r.varint().ok_or_else(|| bad("function load count"))? as usize;
-            if nfl > body.len() / 2 {
-                return Err(bad("function load count"));
-            }
+            let nfl = r.len(2, "function load count")?;
             let mut func_loads = Vec::with_capacity(nfl);
             for _ in 0..nfl {
-                let id = r.varint().ok_or_else(|| bad("function id"))?;
-                if id >= func_names.len() as u64 {
-                    return Err(bad("function id"));
+                let id = r.u32("function id")?;
+                if id as usize >= func_names.len() {
+                    return Err(r.error("function id", WireErrorKind::Invalid { value: id.into() }));
                 }
-                let fl = r.varint().ok_or_else(|| bad("function loads"))?;
-                func_loads.push((id as u32, fl));
+                func_loads.push((id, r.varint("function loads")?));
             }
             frames.push(FrameSummary {
                 hash,
@@ -401,12 +348,10 @@ impl Catalog {
                 func_loads,
             });
         }
-        if r.pos != body.len() {
-            return Err(corrupt(format!("{} trailing bytes", body.len() - r.pos)));
-        }
+        r.finish("catalog")?;
         Ok(Catalog {
             trace_id,
-            summary_block,
+            summary_block: BlockSize::from_log2(summary_block),
             header_bytes,
             trailer_bytes,
             container_len,
@@ -419,102 +364,26 @@ impl Catalog {
     }
 }
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) {
-    put_varint(buf, data.len() as u64);
-    buf.extend_from_slice(data);
-}
-
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
 /// Optional inclusive range: presence flag, then lo + span.
-fn put_range(buf: &mut Vec<u8>, range: Option<(u64, u64)>) {
+fn put_range(w: &mut Writer, range: Option<(u64, u64)>) {
     match range {
-        None => buf.push(0),
+        None => w.u8(0),
         Some((lo, hi)) => {
-            buf.push(1);
-            put_varint(buf, lo);
-            put_varint(buf, hi - lo);
+            w.u8(1);
+            w.varint(lo);
+            w.varint(hi - lo);
         }
     }
 }
 
-fn get_range(r: &mut Dec<'_>) -> Option<Option<(u64, u64)>> {
-    match r.byte()? {
-        0 => Some(None),
+fn get_range(r: &mut Reader, field: &'static str) -> Result<Option<(u64, u64)>, WireError> {
+    match r.u8(field)? {
+        0 => Ok(None),
         1 => {
-            let lo = r.varint()?;
-            let span = r.varint()?;
-            Some(Some((lo, lo.checked_add(span)?)))
+            let lo = r.varint(field)?;
+            Ok(Some((lo, r.delta(lo, field)?)))
         }
-        _ => None,
-    }
-}
-
-/// Cursor-style decoder over the catalog body. All methods return
-/// `None` on truncation/malformation; callers attach context.
-struct Dec<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let out = self.src.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(out)
-    }
-
-    fn byte(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16_le(&mut self) -> Option<u16> {
-        self.take(2)
-            .map(|b| u16::from_le_bytes(b.try_into().expect("take gave 2 bytes")))
-    }
-
-    fn u64_le(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("take gave 8 bytes")))
-    }
-
-    fn varint(&mut self) -> Option<u64> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte()?;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Some(v);
-            }
-            shift += 7;
-            if shift >= 64 {
-                return None;
-            }
-        }
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let len = self.varint()? as usize;
-        self.take(len).map(|b| b.to_vec())
-    }
-
-    fn string(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
+        flag => Err(r.error(field, WireErrorKind::Invalid { value: flag.into() })),
     }
 }
 

@@ -30,6 +30,8 @@
 //! overrun, trailing bytes) and never panics — the blob layer maps
 //! those into [`StoreError::CorruptBlob`](crate::StoreError::CorruptBlob).
 
+use memgaze_model::wire::{Reader, WireError, Writer};
+
 /// Matches shorter than this cost more to encode than to emit literally.
 const MIN_MATCH: usize = 4;
 /// log2 of the match hash table size.
@@ -44,48 +46,17 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
 }
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-fn get_varint(src: &[u8], pos: &mut usize, context: &'static str) -> Result<u64, String> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = src.get(*pos) else {
-            return Err(format!("truncated varint in {context}"));
-        };
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(format!("varint overflow in {context}"));
-        }
-    }
-}
-
 /// Compress `src`. The output always decodes back to `src` exactly; it
 /// is *usually* smaller, but incompressible input costs a few bytes of
 /// framing overhead — callers compare lengths and keep the raw form
 /// when compression does not pay (see the blob encoder).
 pub fn compress(src: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(src.len() / 2 + 16);
-    put_varint(&mut out, src.len() as u64);
+    let mut w = Writer::new(&mut out);
+    w.varint(src.len() as u64);
     if src.len() < MIN_MATCH {
         if !src.is_empty() {
-            put_varint(&mut out, src.len() as u64);
-            out.extend_from_slice(src);
+            w.len_bytes(src);
         }
         return out;
     }
@@ -112,10 +83,9 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
         while i + len < src.len() && src[cand + len] == src[i + len] {
             len += 1;
         }
-        put_varint(&mut out, (i - lit_start) as u64);
-        out.extend_from_slice(&src[lit_start..i]);
-        put_varint(&mut out, (len - MIN_MATCH) as u64);
-        put_varint(&mut out, (i - cand) as u64);
+        w.len_bytes(&src[lit_start..i]);
+        w.varint((len - MIN_MATCH) as u64);
+        w.varint((i - cand) as u64);
         // Seed the table inside the match so later data can still find
         // these positions; a sparse stride keeps long matches O(1)-ish
         // without giving up short-range repeats.
@@ -131,43 +101,43 @@ pub fn compress(src: &[u8]) -> Vec<u8> {
     // Input ending exactly at a match needs no empty trailing literal
     // run — the decoder stops at the declared length.
     if lit_start < src.len() {
-        put_varint(&mut out, (src.len() - lit_start) as u64);
-        out.extend_from_slice(&src[lit_start..]);
+        w.len_bytes(&src[lit_start..]);
     }
     out
 }
 
 /// Decompress a [`compress`] stream, checking it declares exactly
 /// `expected_len` bytes. Every malformation is a typed detail string;
-/// nothing panics and no allocation is driven by unvalidated lengths
-/// beyond `expected_len`.
+/// nothing panics. The declared length is not trusted for allocation:
+/// matches expand without bound, so the output reserves at most one
+/// byte per input byte and grows only as bytes are produced.
 pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
-    let mut pos = 0usize;
-    let raw_len = get_varint(src, &mut pos, "raw length")? as usize;
+    let detail = |e: WireError| e.to_string();
+    let mut r = Reader::new(src);
+    let raw_len = r.usize("raw length").map_err(detail)?;
     if raw_len != expected_len {
         return Err(format!(
             "stream declares {raw_len} raw bytes, catalog expects {expected_len}"
         ));
     }
-    let mut out = Vec::with_capacity(raw_len);
+    let mut out = Vec::with_capacity(r.capacity(raw_len));
     while out.len() < raw_len {
-        let lit_len = get_varint(src, &mut pos, "literal length")? as usize;
+        let lit_len = r.usize("literal length").map_err(detail)?;
         if lit_len > raw_len - out.len() {
             return Err(format!(
                 "literal run of {lit_len} overruns output ({} of {raw_len} produced)",
                 out.len()
             ));
         }
-        let Some(lits) = src.get(pos..pos + lit_len) else {
-            return Err("truncated literal run".to_string());
-        };
-        out.extend_from_slice(lits);
-        pos += lit_len;
+        out.extend_from_slice(r.bytes(lit_len, "literal run").map_err(detail)?);
         if out.len() == raw_len {
             break;
         }
-        let match_len = get_varint(src, &mut pos, "match length")? as usize + MIN_MATCH;
-        let dist = get_varint(src, &mut pos, "match distance")? as usize;
+        let match_len = r
+            .usize("match length")
+            .map_err(detail)?
+            .saturating_add(MIN_MATCH);
+        let dist = r.usize("match distance").map_err(detail)?;
         if dist == 0 || dist > out.len() {
             return Err(format!(
                 "match distance {dist} with only {} bytes produced",
@@ -188,9 +158,7 @@ pub fn decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
             out.push(b);
         }
     }
-    if pos != src.len() {
-        return Err(format!("{} trailing bytes after stream", src.len() - pos));
-    }
+    r.finish("lz stream").map_err(detail)?;
     Ok(out)
 }
 
@@ -263,11 +231,11 @@ mod tests {
         }
         // A match distance pointing before the start of output.
         let mut bad = Vec::new();
-        put_varint(&mut bad, 8); // raw_len
-        put_varint(&mut bad, 1); // one literal
-        bad.push(b'x');
-        put_varint(&mut bad, 0); // match_len = MIN_MATCH
-        put_varint(&mut bad, 5); // distance 5 > 1 byte produced
+        let mut w = Writer::new(&mut bad);
+        w.varint(8); // raw_len
+        w.len_bytes(b"x"); // one literal
+        w.varint(0); // match_len = MIN_MATCH
+        w.varint(5); // distance 5 > 1 byte produced
         assert!(decompress(&bad, 8).unwrap_err().contains("distance"));
         // Trailing garbage after a complete stream.
         let mut trailing = compress(b"done");
@@ -278,11 +246,11 @@ mod tests {
     #[test]
     fn zero_distance_is_rejected() {
         let mut bad = Vec::new();
-        put_varint(&mut bad, 9);
-        put_varint(&mut bad, 4);
-        bad.extend_from_slice(b"abcd");
-        put_varint(&mut bad, 1); // match_len 5
-        put_varint(&mut bad, 0); // distance 0
+        let mut w = Writer::new(&mut bad);
+        w.varint(9);
+        w.len_bytes(b"abcd");
+        w.varint(1); // match_len 5
+        w.varint(0); // distance 0
         assert!(decompress(&bad, 9).unwrap_err().contains("distance 0"));
     }
 }

@@ -21,6 +21,7 @@ use memgaze::core::{
     StreamingWorkloadReport, WorkerArgs, WorkerServeArgs, WorkerStoreServeArgs,
 };
 use memgaze::model::DecompressionInfo;
+use memgaze::obs::json_escape_into;
 use memgaze::ptsim::SamplerConfig;
 use memgaze::store::{QueryEngine, StoreConfig, TraceStore};
 use memgaze::workloads::darknet::{self, Network};
@@ -185,23 +186,6 @@ fn run_lint(args: &Args) -> i32 {
     }
 }
 
-/// Escape a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Hand-rolled JSON for `memgaze lint --json`: per-module differential
 /// summaries plus every diagnostic, the latter sorted by lint id then
 /// site so the output is diffable across runs.
@@ -213,11 +197,12 @@ fn lint_reports_json(
     let mut out = String::from("{\n  \"modules\": [\n");
     for (i, r) in reports.iter().enumerate() {
         let d = &r.differential;
+        out.push_str("    {\"module\": \"");
+        json_escape_into(&mut out, &r.module);
         out.push_str(&format!(
-            "    {{\"module\": \"{}\", \"loads\": {}, \"agree\": {}, \
+            "\", \"loads\": {}, \"agree\": {}, \
              \"absint_unknown\": {}, \"upgraded\": {}, \"lost_compression\": {}, \
              \"unsound\": {}, \"errors\": {}, \"warnings\": {}}}{}\n",
-            json_escape(&r.module),
             d.loads,
             d.agree,
             d.absint_unknown,
@@ -237,12 +222,15 @@ fn lint_reports_json(
     });
     for (i, d) in diags.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"lint\": \"{}\", \"severity\": \"{}\", \"site\": \"{}\", \
-             \"message\": \"{}\"}}{}\n",
+            "    {{\"lint\": \"{}\", \"severity\": \"{}\", \"site\": \"",
             d.lint.code(),
             d.severity,
-            json_escape(&d.site.to_string()),
-            json_escape(&d.message),
+        ));
+        json_escape_into(&mut out, &d.site.to_string());
+        out.push_str("\", \"message\": \"");
+        json_escape_into(&mut out, &d.message);
+        out.push_str(&format!(
+            "\"}}{}\n",
             if i + 1 < diags.len() { "," } else { "" }
         ));
     }
