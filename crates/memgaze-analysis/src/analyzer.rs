@@ -83,6 +83,31 @@ pub struct FunctionRow {
     pub confidence: Confidence,
 }
 
+impl FunctionRow {
+    /// The row for one function's footprint diagnostics under
+    /// decompression ratio `rho` — the one fold behind the resident,
+    /// streaming and fan-out function tables.
+    pub(crate) fn new(
+        name: String,
+        diag: &FootprintDiagnostics,
+        rho: f64,
+        footprint_block: BlockSize,
+        mean_d: f64,
+        confidence: Confidence,
+    ) -> FunctionRow {
+        FunctionRow {
+            name,
+            f_hat_bytes: rho * diag.footprint as f64 * footprint_block.bytes() as f64,
+            delta_f: diag.delta_f(),
+            f_str_pct: diag.delta_f_str_pct(),
+            accesses_decompressed: diag.kappa * diag.observed as f64,
+            observed: diag.observed,
+            mean_d,
+            confidence,
+        }
+    }
+}
+
 /// One row of the hot-memory reuse table (Tables V / VII / IX).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RegionRow {
@@ -103,6 +128,34 @@ pub struct RegionRow {
 }
 
 impl RegionRow {
+    /// Reuse row for `[lo, hi)` from a trace-wide block-reuse summary
+    /// at `reuse_block` granularity, with no code attribution; `observed`
+    /// is the trace's observed access count.
+    pub(crate) fn for_range(
+        summary: &BlockReuse,
+        reuse_block: BlockSize,
+        observed: u64,
+        lo: u64,
+        hi: u64,
+    ) -> RegionRow {
+        let lo_b = lo >> reuse_block.log2();
+        let hi_b = (hi + reuse_block.bytes() - 1) >> reuse_block.log2();
+        let accesses = summary.region_accesses(lo_b, hi_b);
+        RegionRow {
+            range: (lo, hi),
+            reuse_d: summary.region_mean_distance(lo_b, hi_b),
+            max_d: summary.region_max_distance(lo_b, hi_b),
+            blocks: summary.region_blocks(lo_b, hi_b),
+            accesses,
+            pct_of_total: if observed == 0 {
+                0.0
+            } else {
+                100.0 * accesses as f64 / observed as f64
+            },
+            code: Vec::new(),
+        }
+    }
+
     /// Accesses per block.
     pub fn accesses_per_block(&self) -> f64 {
         if self.blocks == 0 {
@@ -128,6 +181,55 @@ pub struct IntervalRow {
     pub accesses_decompressed: f64,
 }
 
+/// Locality over time: fold per-sample footprint diagnostics and reuse
+/// summaries (`reuse_of` gives a sample's mean distance and event count)
+/// into `n` equal runs of samples. The one fold behind
+/// [`Analyzer::interval_rows`] and the streaming report's.
+pub(crate) fn interval_rows_from<R>(
+    diags: &[FootprintDiagnostics],
+    reuses: &[R],
+    reuse_of: impl Fn(&R) -> (f64, usize),
+    rho: f64,
+    footprint_block: BlockSize,
+    n: usize,
+) -> Vec<IntervalRow> {
+    if diags.is_empty() || n == 0 {
+        return Vec::new();
+    }
+    let per_interval = diags.len().div_ceil(n);
+    diags
+        .chunks(per_interval)
+        .zip(reuses.chunks(per_interval))
+        .enumerate()
+        .map(|(i, (dgroup, rgroup))| {
+            let mut diag: Option<FootprintDiagnostics> = None;
+            for d in dgroup {
+                match &mut diag {
+                    Some(m) => m.merge(d),
+                    None => diag = Some(*d),
+                }
+            }
+            let mut d_sum = 0.0;
+            let mut d_n = 0u64;
+            for r in rgroup {
+                let (mean_d, events) = reuse_of(r);
+                if events > 0 {
+                    d_sum += mean_d * events as f64;
+                    d_n += events as u64;
+                }
+            }
+            let diag = diag.unwrap_or_default();
+            IntervalRow {
+                interval: i,
+                f_hat_bytes: rho * diag.footprint as f64 * footprint_block.bytes() as f64,
+                delta_f: diag.delta_f(),
+                mean_d: if d_n == 0 { 0.0 } else { d_sum / d_n as f64 },
+                accesses_decompressed: diag.kappa * diag.observed as f64,
+            }
+        })
+        .collect()
+}
+
 /// How many times each memoized artifact was actually *computed*
 /// (not served from the cache). Exposed so perf tests can assert that
 /// rendering every table computes each artifact exactly once.
@@ -149,9 +251,6 @@ pub struct CacheStats {
     pub code_windows: u64,
     /// Sorted function-table rows.
     pub function_rows: u64,
-    /// Artifacts seeded by merging streamed shard partials instead of
-    /// full recomputation (see [`Analyzer::with_streamed_artifacts`]).
-    pub merges: u64,
 }
 
 /// Interior-mutability memoization of the analyzer's artifacts.
@@ -182,7 +281,6 @@ struct Counters {
     zoom: AtomicU64,
     code_windows: AtomicU64,
     function_rows: AtomicU64,
-    merges: AtomicU64,
 }
 
 impl Counters {
@@ -257,41 +355,7 @@ impl<'a> Analyzer<'a> {
             zoom: c.zoom.load(Ordering::Relaxed),
             code_windows: c.code_windows.load(Ordering::Relaxed),
             function_rows: c.function_rows.load(Ordering::Relaxed),
-            merges: c.merges.load(Ordering::Relaxed),
         }
-    }
-
-    /// Seed the artifact cache with the merged artifacts of a streaming
-    /// ingest pass, so a follow-up resident analysis serves them without
-    /// recomputing. The report must come from the same trace, annotation
-    /// file, symbols, and configuration this analyzer holds — like
-    /// [`with_config`](Self::with_config), artifact validity is the
-    /// caller's contract. Each seeded slot counts as a merge (not a
-    /// compute) in [`cache_stats`](Self::cache_stats).
-    pub fn with_streamed_artifacts(
-        self,
-        report: &crate::streaming::StreamingReport,
-    ) -> Analyzer<'a> {
-        if self.cache.decompression.set(report.decompression).is_ok() {
-            Counters::bump(&self.cache.computes.merges);
-        }
-        if self
-            .cache
-            .block_reuse
-            .set(report.block_reuse.clone())
-            .is_ok()
-        {
-            Counters::bump(&self.cache.computes.merges);
-        }
-        if self
-            .cache
-            .function_rows
-            .set(report.function_rows.clone())
-            .is_ok()
-        {
-            Counters::bump(&self.cache.computes.merges);
-        }
-        self
     }
 
     /// ρ/κ decompression facts of the trace.
@@ -369,16 +433,14 @@ impl<'a> Analyzer<'a> {
                     obs.push(crate::footprint::footprint(&accesses[start..end], fb) as f64);
                     start = end;
                 }
-                FunctionRow {
-                    name: name.to_string(),
-                    f_hat_bytes: rho * diag.footprint as f64 * fb.bytes() as f64,
-                    delta_f: diag.delta_f(),
-                    f_str_pct: diag.delta_f_str_pct(),
-                    accesses_decompressed: diag.kappa * diag.observed as f64,
-                    observed: diag.observed,
-                    mean_d: r.mean_distance(),
-                    confidence: Confidence::from_observations(&obs),
-                }
+                FunctionRow::new(
+                    name.to_string(),
+                    &diag,
+                    rho,
+                    fb,
+                    r.mean_distance(),
+                    Confidence::from_observations(&obs),
+                )
             });
             rows.sort_by(|a, b| b.accesses_decompressed.total_cmp(&a.accesses_decompressed));
             rows
@@ -485,25 +547,8 @@ impl<'a> Analyzer<'a> {
     /// Reuse row for one explicit address range (when the caller knows
     /// the object, e.g. Table V's named objects).
     pub fn region_row_for(&self, lo: u64, hi: u64) -> RegionRow {
-        let summary = self.block_reuse();
-        let rb = self.cfg.reuse_block;
-        let lo_b = lo >> rb.log2();
-        let hi_b = (hi + rb.bytes() - 1) >> rb.log2();
-        let accesses = summary.region_accesses(lo_b, hi_b);
-        let total = self.trace.observed_accesses();
-        RegionRow {
-            range: (lo, hi),
-            reuse_d: summary.region_mean_distance(lo_b, hi_b),
-            max_d: summary.region_max_distance(lo_b, hi_b),
-            blocks: summary.region_blocks(lo_b, hi_b),
-            accesses,
-            pct_of_total: if total == 0 {
-                0.0
-            } else {
-                100.0 * accesses as f64 / total as f64
-            },
-            code: Vec::new(),
-        }
+        let observed = self.trace.observed_accesses();
+        RegionRow::for_range(self.block_reuse(), self.cfg.reuse_block, observed, lo, hi)
     }
 
     /// Locality over time: split the samples into `n` equal time
@@ -515,40 +560,14 @@ impl<'a> Analyzer<'a> {
             return Vec::new();
         }
         let rho = self.decompression().rho();
-        let fb = self.cfg.footprint_block;
-        let diags = self.sample_diagnostics();
-        let reuses = self.sample_reuse();
-        let per_interval = self.trace.samples.len().div_ceil(n);
-        diags
-            .chunks(per_interval)
-            .zip(reuses.chunks(per_interval))
-            .enumerate()
-            .map(|(i, (dgroup, rgroup))| {
-                let mut diag: Option<FootprintDiagnostics> = None;
-                for d in dgroup {
-                    match &mut diag {
-                        Some(m) => m.merge(d),
-                        None => diag = Some(*d),
-                    }
-                }
-                let mut d_sum = 0.0;
-                let mut d_n = 0u64;
-                for r in rgroup {
-                    if !r.events.is_empty() {
-                        d_sum += r.mean_distance() * r.events.len() as f64;
-                        d_n += r.events.len() as u64;
-                    }
-                }
-                let diag = diag.unwrap_or_default();
-                IntervalRow {
-                    interval: i,
-                    f_hat_bytes: rho * diag.footprint as f64 * fb.bytes() as f64,
-                    delta_f: diag.delta_f(),
-                    mean_d: if d_n == 0 { 0.0 } else { d_sum / d_n as f64 },
-                    accesses_decompressed: diag.kappa * diag.observed as f64,
-                }
-            })
-            .collect()
+        interval_rows_from(
+            self.sample_diagnostics(),
+            self.sample_reuse(),
+            |r| (r.mean_distance(), r.events.len()),
+            rho,
+            self.cfg.footprint_block,
+            n,
+        )
     }
 
     /// Footprint-metric histograms over power-of-2 windows (Fig. 6).

@@ -486,16 +486,14 @@ impl PartialReport {
                     f_irr: fp.irregular.len() as u64,
                     kappa,
                 };
-                FunctionRow {
-                    name: fp.name,
-                    f_hat_bytes: rho * diag.footprint as f64 * fb.bytes() as f64,
-                    delta_f: diag.delta_f(),
-                    f_str_pct: diag.delta_f_str_pct(),
-                    accesses_decompressed: diag.kappa * diag.observed as f64,
-                    observed: diag.observed,
-                    mean_d: fp.reuse.mean_distance(),
-                    confidence: Confidence::from_observations(&fp.obs),
-                }
+                FunctionRow::new(
+                    fp.name,
+                    &diag,
+                    rho,
+                    fb,
+                    fp.reuse.mean_distance(),
+                    Confidence::from_observations(&fp.obs),
+                )
             })
             .collect();
         function_rows.sort_by(|a, b| b.accesses_decompressed.total_cmp(&a.accesses_decompressed));
@@ -504,23 +502,7 @@ impl PartialReport {
             .locality_sizes
             .iter()
             .zip(&self.locality)
-            .filter_map(|(&size, rows)| {
-                let mut n = 0u64;
-                let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
-                for &(pn, pd, pg, pf) in rows {
-                    n += pn;
-                    sum_d += pd;
-                    sum_g += pg;
-                    sum_f += pf;
-                }
-                (n > 0).then(|| LocalityPoint {
-                    interval: size,
-                    mean_d: sum_d / n as f64,
-                    mean_delta_f: sum_g / n as f64,
-                    mean_f: sum_f / n as f64,
-                    windows: n,
-                })
-            })
+            .filter_map(|(&size, rows)| LocalityPoint::from_partials(size, rows))
             .collect();
 
         crate::streaming::StreamingReport {

@@ -120,6 +120,33 @@ pub struct LocalityPoint {
     pub windows: u64,
 }
 
+impl LocalityPoint {
+    /// Fold per-sample partials `(windows, Σ mean-D, Σ ΔF, Σ F)` (see
+    /// [`locality_sample_partial`]) in order into the point for interval
+    /// size `interval`; `None` when no interval was measured. The one
+    /// fold behind the resident and fan-out series.
+    pub(crate) fn from_partials(
+        interval: u64,
+        partials: &[(u64, f64, f64, f64)],
+    ) -> Option<LocalityPoint> {
+        let mut n = 0u64;
+        let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
+        for &(pn, pd, pg, pf) in partials {
+            n += pn;
+            sum_d += pd;
+            sum_g += pg;
+            sum_f += pf;
+        }
+        (n > 0).then(|| LocalityPoint {
+            interval,
+            mean_d: sum_d / n as f64,
+            mean_delta_f: sum_g / n as f64,
+            mean_f: sum_f / n as f64,
+            windows: n,
+        })
+    }
+}
+
 /// Intra-sample locality as a function of access-interval size: chop each
 /// sample into intervals of each requested size and average D and ΔF.
 pub fn locality_vs_interval(
@@ -149,23 +176,7 @@ pub fn locality_vs_interval_with(
         let partials = par::par_map(&trace.samples, threads, |s| {
             locality_sample_partial(&s.accesses, annots, reuse_block, chunk)
         });
-        let mut n = 0u64;
-        let (mut sum_d, mut sum_g, mut sum_f) = (0.0, 0.0, 0.0);
-        for (pn, pd, pg, pf) in partials {
-            n += pn;
-            sum_d += pd;
-            sum_g += pg;
-            sum_f += pf;
-        }
-        if n > 0 {
-            out.push(LocalityPoint {
-                interval: size,
-                mean_d: sum_d / n as f64,
-                mean_delta_f: sum_g / n as f64,
-                mean_f: sum_f / n as f64,
-                windows: n,
-            });
-        }
+        out.extend(LocalityPoint::from_partials(size, &partials));
     }
     out
 }

@@ -33,11 +33,9 @@
 //!
 //! Artifacts that need the whole trace by construction (location zoom,
 //! window series keyed on the global κ, time-range heatmaps) are out of
-//! scope here; run them on a resident trace, optionally seeding the
-//! analyzer with [`Analyzer::with_streamed_artifacts`] so everything
-//! already merged is served from the cache.
+//! scope here; run them on a resident trace.
 
-use crate::analyzer::{AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
+use crate::analyzer::{interval_rows_from, AnalysisConfig, FunctionRow, IntervalRow, RegionRow};
 use crate::diagnostics::FootprintDiagnostics;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::histogram::{locality_sample_partial, LocalityPoint, Log2Histogram};
@@ -726,66 +724,22 @@ impl StreamingReport {
     /// [`Analyzer::interval_rows`](crate::Analyzer::interval_rows) fold
     /// from the retained per-sample summaries.
     pub fn interval_rows(&self, n: usize) -> Vec<IntervalRow> {
-        if self.per_sample_diags.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let rho = self.decompression.rho();
-        let fb = self.footprint_block;
-        let per_interval = self.per_sample_diags.len().div_ceil(n);
-        self.per_sample_diags
-            .chunks(per_interval)
-            .zip(self.per_sample_reuse.chunks(per_interval))
-            .enumerate()
-            .map(|(i, (dgroup, rgroup))| {
-                let mut diag: Option<FootprintDiagnostics> = None;
-                for d in dgroup {
-                    match &mut diag {
-                        Some(m) => m.merge(d),
-                        None => diag = Some(*d),
-                    }
-                }
-                let mut d_sum = 0.0;
-                let mut d_n = 0u64;
-                for r in rgroup {
-                    if r.events > 0 {
-                        d_sum += r.mean_d * r.events as f64;
-                        d_n += r.events as u64;
-                    }
-                }
-                let diag = diag.unwrap_or_default();
-                IntervalRow {
-                    interval: i,
-                    f_hat_bytes: rho * diag.footprint as f64 * fb.bytes() as f64,
-                    delta_f: diag.delta_f(),
-                    mean_d: if d_n == 0 { 0.0 } else { d_sum / d_n as f64 },
-                    accesses_decompressed: diag.kappa * diag.observed as f64,
-                }
-            })
-            .collect()
+        interval_rows_from(
+            &self.per_sample_diags,
+            &self.per_sample_reuse,
+            |r| (r.mean_d, r.events),
+            self.decompression.rho(),
+            self.footprint_block,
+            n,
+        )
     }
 
     /// Reuse metrics of an address region (==
     /// [`Analyzer::region_row_for`](crate::Analyzer::region_row_for),
     /// sans code attribution, which needs the resident access stream).
     pub fn region_row_for(&self, lo: u64, hi: u64) -> RegionRow {
-        let rb = self.reuse_block;
-        let lo_b = lo >> rb.log2();
-        let hi_b = (hi + rb.bytes() - 1) >> rb.log2();
-        let accesses = self.block_reuse.region_accesses(lo_b, hi_b);
-        let total = self.decompression.observed;
-        RegionRow {
-            range: (lo, hi),
-            reuse_d: self.block_reuse.region_mean_distance(lo_b, hi_b),
-            max_d: self.block_reuse.region_max_distance(lo_b, hi_b),
-            blocks: self.block_reuse.region_blocks(lo_b, hi_b),
-            accesses,
-            pct_of_total: if total == 0 {
-                0.0
-            } else {
-                100.0 * accesses as f64 / total as f64
-            },
-            code: Vec::new(),
-        }
+        let observed = self.decompression.observed;
+        RegionRow::for_range(&self.block_reuse, self.reuse_block, observed, lo, hi)
     }
 }
 
@@ -936,28 +890,5 @@ mod tests {
             report.ingest.peak_shard_bytes,
             5 * 100 * std::mem::size_of::<Access>()
         );
-    }
-
-    #[test]
-    fn seeded_analyzer_serves_merged_artifacts() {
-        let (t, annots, symbols) = synthetic_setup();
-        let report =
-            stream_resident_trace(&t, &annots, &symbols, AnalysisConfig::default(), &[], 4);
-        let a = Analyzer::new(&t, &annots, &symbols).with_streamed_artifacts(&report);
-        let stats = a.cache_stats();
-        assert_eq!(stats.merges, 3);
-        // Seeded slots are served without recomputation...
-        let _ = a.decompression();
-        let _ = a.function_table();
-        let _ = a.region_rows();
-        let stats = a.cache_stats();
-        assert_eq!(stats.merges, 3);
-        assert_eq!(stats.decompression, 0);
-        assert_eq!(stats.function_rows, 0);
-        assert_eq!(stats.block_reuse, 0);
-        // ...and agree with a fresh resident analyzer.
-        let fresh = Analyzer::new(&t, &annots, &symbols);
-        assert_eq!(a.function_table(), fresh.function_table());
-        assert_eq!(a.decompression(), fresh.decompression());
     }
 }

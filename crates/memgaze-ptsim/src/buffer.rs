@@ -9,7 +9,6 @@
 //! 1024. [`CircBuffer::snapshot`] reproduces that with a configurable
 //! yield factor jittered by a small deterministic LCG.
 
-use crate::packet::{PtwPacket, PSB_PERIOD, TSC_PERIOD};
 use std::collections::VecDeque;
 
 /// Deterministic 64-bit LCG (no `rand` dependency in the hardware model).
@@ -48,102 +47,91 @@ impl Lcg {
     }
 }
 
-/// Fixed-capacity circular packet buffer with byte accounting.
+/// Fixed-capacity circular trace buffer with byte accounting, holding
+/// PTW packets on the packet path or whole accesses on the access path.
 #[derive(Debug, Clone)]
-pub struct CircBuffer {
+pub struct CircBuffer<T> {
     cap_bytes: u64,
     used_bytes: u64,
-    packet_bytes: u64,
-    /// Packets plus their individual byte cost (a packet that carried an
-    /// amortized TSC/PSB sideband costs more).
-    items: VecDeque<(PtwPacket, u64)>,
+    /// Items plus their individual byte cost (a packet that carried an
+    /// amortized TSC/PSB sideband, or a two-source access, costs more).
+    items: VecDeque<(T, u64)>,
     /// Mean fraction of buffer contents the snapshot yields (kernel
     /// async-fill artifact); jittered ±0.1 per snapshot.
     yield_factor: f64,
     rng: Lcg,
-    /// PTW packets pushed since the buffer was created (drives amortized
-    /// TSC/PSB space inside the buffer).
-    pushed: u64,
 }
 
-impl CircBuffer {
-    /// Default mean yield factor matching the paper's observed ≈ 0.49–0.56
-    /// addresses per expected buffer slot.
-    pub const DEFAULT_YIELD: f64 = 0.55;
+/// Default mean yield factor matching the paper's observed ≈ 0.49–0.56
+/// addresses per expected buffer slot.
+pub const DEFAULT_YIELD: f64 = 0.55;
 
-    /// A buffer of `cap_bytes` capacity holding packets of
-    /// `packet_bytes` each.
-    pub fn new(cap_bytes: u64, packet_bytes: u64, yield_factor: f64, seed: u64) -> CircBuffer {
-        assert!(cap_bytes >= packet_bytes, "buffer smaller than one packet");
-        assert!(
-            (0.0..=1.0).contains(&yield_factor),
-            "yield factor out of range"
-        );
+impl<T: Copy> CircBuffer<T> {
+    /// An empty buffer of `cap_bytes` capacity.
+    pub fn new(cap_bytes: u64, yield_factor: f64, seed: u64) -> CircBuffer<T> {
         CircBuffer {
             cap_bytes,
             used_bytes: 0,
-            packet_bytes,
             items: VecDeque::new(),
             yield_factor,
             rng: Lcg::new(seed),
-            pushed: 0,
         }
     }
 
-    /// Push a packet, evicting the oldest contents on wrap (circular
-    /// overwrite). Sideband TSC/PSB packets consume amortized space.
-    pub fn push(&mut self, p: PtwPacket) {
-        self.pushed += 1;
-        let mut cost = self.packet_bytes;
-        if self.pushed.is_multiple_of(TSC_PERIOD) {
-            cost += crate::packet::TSC_BYTES;
-        }
-        if self.pushed.is_multiple_of(PSB_PERIOD) {
-            cost += crate::packet::PSB_BYTES;
-        }
+    /// Push an item costing `cost` bytes, evicting the oldest contents on
+    /// wrap (circular overwrite). Returns the bytes evicted. An item
+    /// larger than the whole buffer still goes in, alone.
+    #[inline]
+    pub fn push(&mut self, item: T, cost: u64) -> u64 {
+        let mut evicted = 0;
         while self.used_bytes + cost > self.cap_bytes {
             match self.items.pop_front() {
-                Some((_, c)) => self.used_bytes = self.used_bytes.saturating_sub(c),
+                Some((_, c)) => {
+                    self.used_bytes -= c;
+                    evicted += c;
+                }
                 None => break,
             }
         }
-        self.items.push_back((p, cost));
+        self.items.push_back((item, cost));
         self.used_bytes += cost;
+        evicted
     }
 
-    /// Number of packets currently held.
-    pub fn len(&self) -> usize {
-        self.items.len()
+    /// Bytes currently held.
+    pub fn used_bytes(&self) -> u64 {
+        self.used_bytes
     }
 
-    /// True when no packets are held.
+    /// Change the capacity; takes effect at the next push.
+    pub fn set_capacity(&mut self, cap_bytes: u64) {
+        self.cap_bytes = cap_bytes;
+    }
+
+    /// True when no items are held.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 
     /// Read the buffer at a sampling trigger: returns the most recent
-    /// packets (the async-fill artifact discards the oldest fraction) and
+    /// items (the async-fill artifact discards the oldest fraction) and
     /// resets the buffer for the next window.
-    pub fn snapshot(&mut self) -> Vec<PtwPacket> {
+    pub fn snapshot(&mut self) -> Vec<T> {
         let jitter = self.rng.range_f64(-0.1, 0.1);
         let f = (self.yield_factor + jitter).clamp(0.05, 1.0);
         let keep = ((self.items.len() as f64) * f).round() as usize;
         let skip = self.items.len() - keep.min(self.items.len());
-        let out: Vec<PtwPacket> = self.items.iter().skip(skip).map(|(p, _)| *p).collect();
+        let out = self.items.iter().skip(skip).map(|(p, _)| *p).collect();
         self.items.clear();
         self.used_bytes = 0;
         out
-    }
-
-    /// Expected number of packets a full buffer would hold.
-    pub fn nominal_capacity(&self) -> u64 {
-        self.cap_bytes / self.packet_bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::PtwPacket;
     use memgaze_model::Ip;
 
     fn pkt(i: u64) -> PtwPacket {
@@ -156,12 +144,11 @@ mod tests {
 
     #[test]
     fn wraps_when_full() {
-        let mut b = CircBuffer::new(100, 10, 1.0, 1);
-        for i in 0..25 {
-            b.push(pkt(i));
-        }
+        let mut b = CircBuffer::new(100, 1.0, 1);
+        let evicted: u64 = (0..25).map(|i| b.push(pkt(i), 10)).sum();
         // Capacity 10 packets: only the newest survive.
-        assert!(b.len() <= 10);
+        assert_eq!(evicted, 150);
+        assert_eq!(b.used_bytes(), 100);
         let snap = b.snapshot();
         assert_eq!(snap.last().unwrap().payload, 24);
         // Oldest retained is recent.
@@ -172,11 +159,11 @@ mod tests {
     #[test]
     fn yield_factor_shrinks_snapshots() {
         // Paper: 16-KiB buffer yields ≈1150 addresses, not 2048.
-        let mut b = CircBuffer::new(16 << 10, 8, 0.55, 42);
+        let mut b = CircBuffer::new(16 << 10, 0.55, 42);
         let mut totals = Vec::new();
         for round in 0..20u64 {
             for i in 0..4096 {
-                b.push(pkt(round * 10_000 + i));
+                b.push(pkt(round * 10_000 + i), 8);
             }
             totals.push(b.snapshot().len());
         }
@@ -189,9 +176,9 @@ mod tests {
 
     #[test]
     fn snapshot_preserves_order_and_recency() {
-        let mut b = CircBuffer::new(1000, 10, 0.5, 7);
+        let mut b = CircBuffer::new(1000, 0.5, 7);
         for i in 0..50 {
-            b.push(pkt(i));
+            b.push(pkt(i), 10);
         }
         let snap = b.snapshot();
         assert!(snap.windows(2).all(|w| w[0].payload < w[1].payload));
@@ -208,11 +195,5 @@ mod tests {
         let mut c = Lcg::new(10);
         let mean: f64 = (0..10_000).map(|_| c.next_f64()).sum::<f64>() / 10_000.0;
         assert!((0.45..0.55).contains(&mean), "LCG mean {mean}");
-    }
-
-    #[test]
-    #[should_panic(expected = "smaller than one packet")]
-    fn tiny_buffer_rejected() {
-        CircBuffer::new(4, 10, 0.5, 0);
     }
 }

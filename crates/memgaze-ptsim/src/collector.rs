@@ -12,9 +12,11 @@
 //! real-time, resulting in random drops of 30–50%" (§VI-A): a token-bucket
 //! bandwidth model drops packets under pressure and emits DROP records.
 
-use crate::buffer::CircBuffer;
+use crate::buffer::{CircBuffer, DEFAULT_YIELD};
 use crate::guard::IpGuards;
-use crate::packet::{PacketStats, PtwPacket};
+use crate::packet::{
+    PacketStats, PtwPacket, PSB_BYTES, PSB_PERIOD, PTW_BYTES, TSC_BYTES, TSC_PERIOD,
+};
 use memgaze_isa::interp::EventSink;
 use memgaze_model::Ip;
 use serde::{Deserialize, Serialize};
@@ -59,7 +61,7 @@ impl SamplerConfig {
             guards: IpGuards::all(),
             mode: PtMode::Continuous,
             seed: 0x5eed,
-            yield_factor: CircBuffer::DEFAULT_YIELD,
+            yield_factor: DEFAULT_YIELD,
         }
     }
 
@@ -73,11 +75,11 @@ impl SamplerConfig {
             guards: IpGuards::all(),
             mode: PtMode::Continuous,
             seed: 0x5eed,
-            yield_factor: CircBuffer::DEFAULT_YIELD,
+            yield_factor: DEFAULT_YIELD,
         }
     }
 
-    fn packet_bytes(&self) -> u64 {
+    pub(crate) fn packet_bytes(&self) -> u64 {
         PtwPacket::bytes(self.compact_payloads)
     }
 
@@ -87,6 +89,64 @@ impl SamplerConfig {
     /// bound on `w` in loads assuming ≥1 packet per load.
     pub fn enable_window_loads(&self) -> u64 {
         (self.buffer_bytes / self.packet_bytes()) * 3 / 2
+    }
+}
+
+/// The sampling trigger every `period` counts (loads, or cycles for the
+/// time trigger) and the PT enable window ahead of it.
+#[derive(Debug)]
+pub(crate) struct Trigger {
+    period: u64,
+    next: u64,
+    mode: PtMode,
+    /// [`SamplerConfig::enable_window_loads`] of the config in force.
+    window: u64,
+}
+
+impl Trigger {
+    pub(crate) fn new(cfg: &SamplerConfig) -> Trigger {
+        let mut t = Trigger {
+            period: cfg.period,
+            next: cfg.period,
+            mode: cfg.mode,
+            window: 0,
+        };
+        t.retune(cfg.period, cfg, 0);
+        t
+    }
+
+    /// Whether PT is generating packets `loads` loads into the run.
+    #[inline]
+    pub(crate) fn enabled(&self, loads: u64) -> bool {
+        match self.mode {
+            PtMode::Continuous => true,
+            PtMode::SampleOnly => self.next.saturating_sub(loads) <= self.window,
+        }
+    }
+
+    /// True (and arms the next trigger) when the counter has reached the
+    /// trigger.
+    #[inline]
+    pub(crate) fn fire(&mut self, now: u64) -> bool {
+        let fired = now >= self.next;
+        if fired {
+            self.next += self.period;
+        }
+        fired
+    }
+
+    /// Adopt a new period (the next trigger is re-derived from `now` so a
+    /// shrunk period takes effect immediately) and `cfg`'s enable window.
+    pub(crate) fn retune(&mut self, period: u64, cfg: &SamplerConfig, now: u64) {
+        if period != self.period {
+            self.period = period.max(1);
+            self.next = now + self.period;
+        }
+        self.window = cfg.enable_window_loads();
+    }
+
+    pub(crate) fn period(&self) -> u64 {
+        self.period
     }
 }
 
@@ -119,84 +179,77 @@ pub struct RawSampledTrace {
 #[derive(Debug)]
 pub struct SampledCollector {
     cfg: SamplerConfig,
-    buf: CircBuffer,
+    buf: CircBuffer<PtwPacket>,
+    trigger: Trigger,
     out: RawSampledTrace,
-    next_trigger: u64,
 }
 
 impl SampledCollector {
     /// A collector with the given configuration.
     pub fn new(cfg: SamplerConfig) -> SampledCollector {
-        let buf = CircBuffer::new(
-            cfg.buffer_bytes,
-            cfg.packet_bytes(),
-            cfg.yield_factor,
-            cfg.seed,
+        assert!(
+            cfg.buffer_bytes >= cfg.packet_bytes(),
+            "buffer smaller than one packet"
         );
-        let next_trigger = cfg.period;
+        assert!(
+            (0.0..=1.0).contains(&cfg.yield_factor),
+            "yield factor out of range"
+        );
         SampledCollector {
+            buf: CircBuffer::new(cfg.buffer_bytes, cfg.yield_factor, cfg.seed),
+            trigger: Trigger::new(&cfg),
             cfg,
-            buf,
             out: RawSampledTrace::default(),
-            next_trigger,
         }
     }
 
-    /// Whether PT is currently generating packets.
-    fn pt_enabled(&self) -> bool {
-        match self.cfg.mode {
-            PtMode::Continuous => true,
-            PtMode::SampleOnly => {
-                let to_trigger = self.next_trigger.saturating_sub(self.out.total_loads);
-                to_trigger <= self.cfg.enable_window_loads()
-            }
-        }
+    fn flush(&mut self) {
+        self.out.samples.push(RawSample {
+            trigger_time: self.out.total_loads,
+            packets: self.buf.snapshot(),
+        });
     }
 
     /// Finish collection: flush a final partial sample if the buffer holds
     /// data, and return the raw trace.
     pub fn finish(mut self) -> RawSampledTrace {
         if !self.buf.is_empty() {
-            let packets = self.buf.snapshot();
-            self.out.samples.push(RawSample {
-                trigger_time: self.out.total_loads,
-                packets,
-            });
+            self.flush();
         }
         self.out
-    }
-
-    /// Immutable view of the raw trace so far.
-    pub fn raw(&self) -> &RawSampledTrace {
-        &self.out
     }
 }
 
 impl EventSink for SampledCollector {
     fn on_load(&mut self, _ip: Ip, _addr: u64, _load_time: u64) {
         self.out.total_loads += 1;
-        if self.out.total_loads >= self.next_trigger {
-            let packets = self.buf.snapshot();
-            self.out.samples.push(RawSample {
-                trigger_time: self.out.total_loads,
-                packets,
-            });
-            self.next_trigger += self.cfg.period;
+        if self.trigger.fire(self.out.total_loads) {
+            self.flush();
         }
     }
 
     fn on_ptwrite(&mut self, ip: Ip, payload: u64, load_time: u64) {
         self.out.ptwrites_executed += 1;
-        if !self.pt_enabled() || !self.cfg.guards.allows(ip) {
+        if !self.trigger.enabled(self.out.total_loads) || !self.cfg.guards.allows(ip) {
             return;
         }
         self.out.ptwrites_enabled += 1;
         self.out.stats.add_ptw(1);
-        self.buf.push(PtwPacket {
+        // Sideband TSC/PSB packets consume amortized buffer space.
+        let n = self.out.stats.ptw_packets;
+        let mut cost = self.cfg.packet_bytes();
+        if n.is_multiple_of(TSC_PERIOD) {
+            cost += TSC_BYTES;
+        }
+        if n.is_multiple_of(PSB_PERIOD) {
+            cost += PSB_BYTES;
+        }
+        let packet = PtwPacket {
             ip,
             payload,
             load_time,
-        });
+        };
+        self.buf.push(packet, cost);
     }
 }
 
@@ -220,13 +273,65 @@ impl Default for BandwidthModel {
     }
 }
 
+impl BandwidthModel {
+    /// Infinite bandwidth: nothing is ever dropped.
+    pub(crate) const UNLIMITED: BandwidthModel = BandwidthModel {
+        bytes_per_load: f64::INFINITY,
+        burst_bytes: f64::INFINITY,
+    };
+}
+
+/// The token bucket that decides which full-trace packets survive the
+/// copy out of the pinned buffer.
+#[derive(Debug)]
+pub(crate) struct TokenBucket {
+    bw: BandwidthModel,
+    tokens: f64,
+    in_drop_burst: bool,
+}
+
+impl TokenBucket {
+    pub(crate) fn new(bw: BandwidthModel) -> TokenBucket {
+        TokenBucket {
+            tokens: bw.burst_bytes,
+            bw,
+            in_drop_burst: false,
+        }
+    }
+
+    /// Refill for `dt` executed loads.
+    #[inline]
+    pub(crate) fn refill(&mut self, dt: u64) {
+        if self.tokens.is_finite() {
+            self.tokens =
+                (self.tokens + dt as f64 * self.bw.bytes_per_load).min(self.bw.burst_bytes);
+        }
+    }
+
+    /// Take `cost` bytes for `packets` packets, or drop them: a dropped
+    /// packet is counted, and the first drop of a burst emits a DROP
+    /// record. Returns whether the packets were kept.
+    #[inline]
+    pub(crate) fn take(&mut self, cost: f64, packets: u64, stats: &mut PacketStats) -> bool {
+        if self.tokens >= cost {
+            self.tokens -= cost;
+            self.in_drop_burst = false;
+            return true;
+        }
+        stats.dropped_packets += packets;
+        if !self.in_drop_burst {
+            stats.drop_records += 1;
+            self.in_drop_burst = true;
+        }
+        false
+    }
+}
+
 /// Full-trace collector with bandwidth-limited copies.
 #[derive(Debug)]
 pub struct FullCollector {
-    bw: BandwidthModel,
-    compact: bool,
+    bucket: TokenBucket,
     guards: IpGuards,
-    tokens: f64,
     last_load_time: u64,
     /// Kept packets.
     pub packets: Vec<PtwPacket>,
@@ -234,32 +339,25 @@ pub struct FullCollector {
     pub stats: PacketStats,
     /// Total loads executed.
     pub total_loads: u64,
-    in_drop_burst: bool,
 }
 
 impl FullCollector {
     /// A full collector with the given bandwidth model.
     pub fn new(bw: BandwidthModel) -> FullCollector {
         FullCollector {
-            tokens: bw.burst_bytes,
-            bw,
-            compact: false,
+            bucket: TokenBucket::new(bw),
             guards: IpGuards::all(),
             last_load_time: 0,
             packets: Vec::new(),
             stats: PacketStats::default(),
             total_loads: 0,
-            in_drop_burst: false,
         }
     }
 
     /// An ideal collector that never drops (used to produce 'All'
     /// baselines directly).
     pub fn unlimited() -> FullCollector {
-        FullCollector::new(BandwidthModel {
-            bytes_per_load: f64::INFINITY,
-            burst_bytes: f64::INFINITY,
-        })
+        FullCollector::new(BandwidthModel::UNLIMITED)
     }
 
     /// Restrict collection to the guarded ranges.
@@ -272,12 +370,9 @@ impl FullCollector {
 impl EventSink for FullCollector {
     fn on_load(&mut self, _ip: Ip, _addr: u64, load_time: u64) {
         self.total_loads += 1;
-        let dt = load_time.saturating_sub(self.last_load_time);
+        self.bucket
+            .refill(load_time.saturating_sub(self.last_load_time));
         self.last_load_time = load_time;
-        if self.tokens.is_finite() {
-            self.tokens =
-                (self.tokens + dt as f64 * self.bw.bytes_per_load).min(self.bw.burst_bytes);
-        }
     }
 
     fn on_ptwrite(&mut self, ip: Ip, payload: u64, load_time: u64) {
@@ -285,21 +380,12 @@ impl EventSink for FullCollector {
             return;
         }
         self.stats.add_ptw(1);
-        let cost = PtwPacket::bytes(self.compact) as f64;
-        if self.tokens >= cost {
-            self.tokens -= cost;
-            self.in_drop_burst = false;
+        if self.bucket.take(PTW_BYTES as f64, 1, &mut self.stats) {
             self.packets.push(PtwPacket {
                 ip,
                 payload,
                 load_time,
             });
-        } else {
-            self.stats.dropped_packets += 1;
-            if !self.in_drop_burst {
-                self.stats.drop_records += 1;
-                self.in_drop_burst = true;
-            }
         }
     }
 }
@@ -377,6 +463,14 @@ mod tests {
         assert!(raw.samples.iter().all(|s| s.packets.is_empty()));
         assert_eq!(raw.ptwrites_executed, 1000);
         assert_eq!(raw.ptwrites_enabled, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "smaller than one packet")]
+    fn tiny_buffer_rejected() {
+        let mut cfg = SamplerConfig::microbench();
+        cfg.buffer_bytes = 4;
+        SampledCollector::new(cfg);
     }
 
     #[test]

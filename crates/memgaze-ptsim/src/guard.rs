@@ -20,11 +20,21 @@ impl IpGuards {
         IpGuards::default()
     }
 
-    /// Guard the given explicit ranges.
+    /// Guard the given explicit ranges. Overlapping and touching ranges
+    /// are coalesced: [`IpGuards::allows`] checks only the last range
+    /// starting at or below an ip, which is right only if they are
+    /// disjoint.
     pub fn from_ranges(mut ranges: Vec<(Ip, Ip)>) -> IpGuards {
         ranges.retain(|(lo, hi)| lo < hi);
         ranges.sort();
-        IpGuards { ranges }
+        let mut merged: Vec<(Ip, Ip)> = Vec::with_capacity(ranges.len());
+        for (lo, hi) in ranges {
+            match merged.last_mut() {
+                Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+                _ => merged.push((lo, hi)),
+            }
+        }
+        IpGuards { ranges: merged }
     }
 
     /// Guard the ranges of the named functions (the usual hotspot-driven
@@ -80,6 +90,25 @@ mod tests {
         assert!(g.allows(Ip(0x4ff)));
         assert!(!g.allows(Ip(0x500)));
         assert!(!g.allows(Ip(0x50)));
+    }
+
+    #[test]
+    fn overlapping_ranges_are_coalesced() {
+        let g = IpGuards::from_ranges(vec![(Ip(0x100), Ip(0x300)), (Ip(0x200), Ip(0x250))]);
+        assert!(g.allows(Ip(0x280)));
+        assert!(g.allows(Ip(0x220)));
+        assert!(!g.allows(Ip(0x300)));
+        let g = IpGuards::from_ranges(vec![
+            (Ip(0x300), Ip(0x400)),
+            (Ip(0x100), Ip(0x200)),
+            (Ip(0x200), Ip(0x280)),
+            (Ip(0x150), Ip(0x180)),
+        ]);
+        assert_eq!(
+            g.ranges,
+            vec![(Ip(0x100), Ip(0x280)), (Ip(0x300), Ip(0x400))]
+        );
+        assert!(g.allows(Ip(0x1f0)) && g.allows(Ip(0x27f)) && !g.allows(Ip(0x280)));
     }
 
     #[test]

@@ -9,15 +9,19 @@
 //! * [`packet`] — PTW/TSC/PSB packet sizes and accounting (including the
 //!   compact 32-bit payload ablation);
 //! * [`buffer`] — the fixed-size circular buffer with the kernel's
-//!   async-fill yield artifact (16 KiB ≈ 1150 addresses, 8 KiB ≈ 500);
+//!   async-fill yield artifact (16 KiB ≈ 1150 addresses, 8 KiB ≈ 500),
+//!   holding packets or whole accesses;
 //! * [`guard`] — hardware IP-range filters (region of interest without
 //!   re-instrumentation);
-//! * [`collector`] — sampled and full perf-like collectors
-//!   (continuous vs. sample-only PT enable; token-bucket drop model);
+//! * [`collector`] — the sampling trigger with its continuous vs.
+//!   sample-only enable window and the token-bucket drop model, shared by
+//!   every sampler, plus the sampled and full perf-like packet collectors;
 //! * [`decode`] — packet-group decoding back to effective addresses using
 //!   the instrumentor's annotations (Analysis/1, "trace building");
-//! * [`stream`] — the same collection mechanisms over pre-decoded load
-//!   streams (the application-workload path);
+//! * [`stream`] — front-ends over the same buffer, trigger and token
+//!   bucket for pre-decoded load streams (the application-workload path);
+//! * [`timetrigger`] — the cycle-triggered sampler (the accuracy foil for
+//!   load-based triggering);
 //! * [`overhead`] — the Fig. 7 time-overhead model;
 //! * [`runner`] — end-to-end drivers over instrumented IR modules.
 

@@ -3,82 +3,57 @@
 //! The application workloads (miniVite, GAP, Darknet) run as native Rust
 //! against a traced address space rather than through the IR interpreter;
 //! they emit loads tagged with a static site ip and instrumentation
-//! metadata. This module applies the *same* PT mechanisms — circular
-//! buffer with async-fill yield, load-count trigger, per-packet byte
-//! accounting, guards, bandwidth-limited full collection — to such
-//! streams, producing the same [`SampledTrace`]/[`FullTrace`] the decoder
-//! yields on the packet path.
+//! metadata. [`StreamSampler`] and [`StreamFull`] collect such streams on
+//! the same circular buffer, trigger, enable window and token bucket as
+//! the packet-level collectors, producing the same
+//! [`SampledTrace`]/[`FullTrace`] the decoder yields on the packet path.
+//! The buffer holds whole accesses, each costing one PTW packet per
+//! source register; unlike the packet path, no TSC/PSB sideband bytes
+//! are charged to the buffer and the snapshot yield applies per access
+//! rather than per packet.
 
-use crate::buffer::Lcg;
-use crate::collector::{BandwidthModel, PtMode, SamplerConfig};
-use crate::packet::{PacketStats, PtwPacket};
+use crate::buffer::CircBuffer;
+use crate::collector::{BandwidthModel, SamplerConfig, TokenBucket, Trigger};
+use crate::guard::IpGuards;
+use crate::packet::{PacketStats, PTW_BYTES};
 use memgaze_model::{Access, Addr, FullTrace, Ip, Sample, SampledTrace, TraceMeta};
-use std::collections::VecDeque;
 
 /// Sampled collection over a decoded load stream.
 #[derive(Debug)]
 pub struct StreamSampler {
     cfg: SamplerConfig,
-    /// Buffered accesses plus their byte cost (two-source loads carry two
-    /// packets).
-    items: VecDeque<(Access, u64)>,
-    used_bytes: u64,
-    rng: Lcg,
+    /// Buffered accesses (two-source loads carry two packets).
+    buf: CircBuffer<Access>,
+    trigger: Trigger,
     loads: u64,
-    next_trigger: u64,
     samples: Vec<Sample>,
     stats: PacketStats,
     ptwrites_enabled: u64,
     ptwrites_executed: u64,
     /// Interval accounting since the last [`take_observation`]
-    /// (`StreamSampler::take_observation`): packets enabled, packets
+    /// (`StreamSampler::take_observation`): packets enabled, bytes
     /// overwritten by buffer wrap, and the peak buffer fill.
     interval_enabled: u64,
-    interval_overwritten: u64,
+    interval_overwritten_bytes: u64,
     interval_peak_bytes: u64,
 }
 
 impl StreamSampler {
     /// A sampler with the given configuration.
     pub fn new(cfg: SamplerConfig) -> StreamSampler {
-        let seed = cfg.seed;
-        let next_trigger = cfg.period;
         StreamSampler {
+            buf: CircBuffer::new(cfg.buffer_bytes, cfg.yield_factor, cfg.seed),
+            trigger: Trigger::new(&cfg),
             cfg,
-            items: VecDeque::new(),
-            used_bytes: 0,
-            rng: Lcg::new(seed),
             loads: 0,
-            next_trigger,
             samples: Vec::new(),
             stats: PacketStats::default(),
             ptwrites_enabled: 0,
             ptwrites_executed: 0,
             interval_enabled: 0,
-            interval_overwritten: 0,
+            interval_overwritten_bytes: 0,
             interval_peak_bytes: 0,
         }
-    }
-
-    fn pt_enabled(&self) -> bool {
-        match self.cfg.mode {
-            PtMode::Continuous => true,
-            PtMode::SampleOnly => {
-                let to_trigger = self.next_trigger.saturating_sub(self.loads);
-                to_trigger <= self.cfg.enable_window_loads()
-            }
-        }
-    }
-
-    fn snapshot(&mut self) -> Vec<Access> {
-        let jitter = self.rng.range_f64(-0.1, 0.1);
-        let f = (self.cfg.yield_factor + jitter).clamp(0.05, 1.0);
-        let keep = ((self.items.len() as f64) * f).round() as usize;
-        let skip = self.items.len() - keep.min(self.items.len());
-        let out = self.items.iter().skip(skip).map(|(a, _)| *a).collect();
-        self.items.clear();
-        self.used_bytes = 0;
-        out
     }
 
     /// Feed one executed load. `instrumented` marks loads that carry
@@ -86,45 +61,27 @@ impl StreamSampler {
     pub fn on_load(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         let time = self.loads;
         if instrumented {
-            self.ptwrites_executed += u64::from(packets);
-            if self.pt_enabled() && self.cfg.guards.allows(ip) {
-                self.ptwrites_enabled += u64::from(packets);
-                self.interval_enabled += u64::from(packets);
-                self.stats.add_ptw(u64::from(packets));
-                let cost = u64::from(packets) * PtwPacket::bytes(self.cfg.compact_payloads);
-                while self.used_bytes + cost > self.cfg.buffer_bytes {
-                    match self.items.pop_front() {
-                        Some((_, c)) => {
-                            self.used_bytes = self.used_bytes.saturating_sub(c);
-                            self.interval_overwritten +=
-                                c / PtwPacket::bytes(self.cfg.compact_payloads).max(1);
-                        }
-                        None => break,
-                    }
-                }
-                self.items.push_back((
-                    Access {
-                        ip,
-                        addr: Addr(addr),
-                        time,
-                    },
-                    cost,
-                ));
-                self.used_bytes += cost;
-                self.interval_peak_bytes = self.interval_peak_bytes.max(self.used_bytes);
+            let packets = u64::from(packets);
+            self.ptwrites_executed += packets;
+            if self.trigger.enabled(time) && self.cfg.guards.allows(ip) {
+                self.ptwrites_enabled += packets;
+                self.interval_enabled += packets;
+                self.stats.add_ptw(packets);
+                let access = Access {
+                    ip,
+                    addr: Addr(addr),
+                    time,
+                };
+                let cost = packets * self.cfg.packet_bytes();
+                self.interval_overwritten_bytes += self.buf.push(access, cost);
+                self.interval_peak_bytes = self.interval_peak_bytes.max(self.buf.used_bytes());
             }
         }
         self.loads += 1;
-        if self.loads >= self.next_trigger {
-            let accesses = self.snapshot();
-            self.samples.push(Sample::new(accesses, self.loads));
-            self.next_trigger += self.cfg.period;
+        if self.trigger.fire(self.loads) {
+            self.samples
+                .push(Sample::new(self.buf.snapshot(), self.loads));
         }
-    }
-
-    /// Loads seen so far.
-    pub fn loads_seen(&self) -> u64 {
-        self.loads
     }
 
     /// Number of completed samples awaiting collection.
@@ -146,13 +103,14 @@ impl StreamSampler {
     pub fn take_observation(&mut self) -> SamplerObservation {
         let obs = SamplerObservation {
             enabled_packets: self.interval_enabled,
-            overwritten_packets: self.interval_overwritten,
+            // Every access costs whole packets, so bytes divide exactly.
+            overwritten_packets: self.interval_overwritten_bytes / self.cfg.packet_bytes(),
             peak_used_bytes: self.interval_peak_bytes,
             buffer_bytes: self.cfg.buffer_bytes,
         };
         self.interval_enabled = 0;
-        self.interval_overwritten = 0;
-        self.interval_peak_bytes = self.used_bytes;
+        self.interval_overwritten_bytes = 0;
+        self.interval_peak_bytes = self.buf.used_bytes();
         obs
     }
 
@@ -160,13 +118,12 @@ impl StreamSampler {
     /// capacity, and the hardware address-range guards. The next
     /// trigger is re-derived from the new period so a shrunk period
     /// takes effect immediately instead of after the old interval.
-    pub fn retune(&mut self, period: u64, buffer_bytes: u64, guards: crate::guard::IpGuards) {
-        if period != self.cfg.period {
-            self.cfg.period = period.max(1);
-            self.next_trigger = self.loads + self.cfg.period;
-        }
-        self.cfg.buffer_bytes = buffer_bytes.max(PtwPacket::bytes(self.cfg.compact_payloads));
+    pub fn retune(&mut self, period: u64, buffer_bytes: u64, guards: IpGuards) {
+        self.cfg.buffer_bytes = buffer_bytes.max(self.cfg.packet_bytes());
         self.cfg.guards = guards;
+        self.trigger.retune(period, &self.cfg, self.loads);
+        self.cfg.period = self.trigger.period();
+        self.buf.set_capacity(self.cfg.buffer_bytes);
     }
 
     /// The sampling configuration currently in force (post-retune).
@@ -178,9 +135,9 @@ impl StreamSampler {
     /// final metadata, any samples not yet drained (including the
     /// flushed trailing partial sample), and collection stats.
     pub fn finish_parts(mut self, workload: &str) -> (TraceMeta, Vec<Sample>, StreamStats) {
-        if !self.items.is_empty() {
-            let accesses = self.snapshot();
-            self.samples.push(Sample::new(accesses, self.loads));
+        if !self.buf.is_empty() {
+            self.samples
+                .push(Sample::new(self.buf.snapshot(), self.loads));
         }
         let mut meta = TraceMeta::new(workload, self.cfg.period, self.cfg.buffer_bytes);
         meta.total_loads = self.loads;
@@ -257,68 +214,51 @@ impl SamplerObservation {
 /// token-bucket bandwidth model ('Rec' traces).
 #[derive(Debug)]
 pub struct StreamFull {
-    bw: BandwidthModel,
-    compact: bool,
-    tokens: f64,
+    bucket: TokenBucket,
     /// Kept accesses.
     pub accesses: Vec<Access>,
     /// Packet accounting.
     pub stats: PacketStats,
     loads: u64,
     dropped_accesses: u64,
-    in_drop_burst: bool,
 }
 
 impl StreamFull {
     /// Bandwidth-limited collection.
     pub fn new(bw: BandwidthModel) -> StreamFull {
         StreamFull {
-            tokens: bw.burst_bytes,
-            bw,
-            compact: false,
+            bucket: TokenBucket::new(bw),
             accesses: Vec::new(),
             stats: PacketStats::default(),
             loads: 0,
             dropped_accesses: 0,
-            in_drop_burst: false,
         }
     }
 
     /// Ideal collection ('All' traces).
     pub fn unlimited() -> StreamFull {
-        StreamFull::new(BandwidthModel {
-            bytes_per_load: f64::INFINITY,
-            burst_bytes: f64::INFINITY,
-        })
+        StreamFull::new(BandwidthModel::UNLIMITED)
     }
 
     /// Feed one executed load.
     pub fn on_load(&mut self, ip: Ip, addr: u64, instrumented: bool, packets: u8) {
         let time = self.loads;
         self.loads += 1;
-        if self.tokens.is_finite() {
-            self.tokens = (self.tokens + self.bw.bytes_per_load).min(self.bw.burst_bytes);
-        }
+        self.bucket.refill(1);
         if !instrumented {
             return;
         }
-        self.stats.add_ptw(u64::from(packets));
-        let cost = u64::from(packets) as f64 * PtwPacket::bytes(self.compact) as f64;
-        if self.tokens >= cost {
-            self.tokens -= cost;
-            self.in_drop_burst = false;
+        let packets = u64::from(packets);
+        self.stats.add_ptw(packets);
+        let cost = packets as f64 * PTW_BYTES as f64;
+        if self.bucket.take(cost, packets, &mut self.stats) {
             self.accesses.push(Access {
                 ip,
                 addr: Addr(addr),
                 time,
             });
         } else {
-            self.stats.dropped_packets += u64::from(packets);
             self.dropped_accesses += 1;
-            if !self.in_drop_burst {
-                self.stats.drop_records += 1;
-                self.in_drop_burst = true;
-            }
         }
     }
 
@@ -337,6 +277,7 @@ impl StreamFull {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collector::PtMode;
 
     fn feed_n(s: &mut StreamSampler, n: u64) {
         for t in 0..n {
@@ -412,6 +353,28 @@ mod tests {
         let w1 = t1.observed_accesses();
         let w2 = t2.observed_accesses();
         assert!(w2 < w1, "two-source loads must fill the buffer faster");
+    }
+
+    #[test]
+    fn buffer_smaller_than_an_access_keeps_only_the_newest() {
+        let mut cfg = SamplerConfig::microbench();
+        cfg.period = 100;
+        cfg.buffer_bytes = 0;
+        cfg.yield_factor = 1.0;
+        let mut s = StreamSampler::new(cfg);
+        for t in 0..1000u64 {
+            s.on_load(Ip(0x400), t * 8, true, 2);
+        }
+        // Each of the 10 windows hands its last access (two packets) to
+        // the snapshot; every other access was overwritten.
+        let obs = s.take_observation();
+        assert_eq!(obs.overwritten_packets, obs.enabled_packets - 10 * 2);
+        let (trace, _) = s.finish("tiny");
+        assert_eq!(trace.num_samples(), 10);
+        for sample in &trace.samples {
+            assert_eq!(sample.accesses.len(), 1);
+            assert_eq!(sample.accesses[0].time, sample.trigger_time - 1);
+        }
     }
 
     #[test]
