@@ -33,9 +33,29 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
+    par_map_with(items, threads, || (), |_, item| f(item))
+}
+
+/// [`par_map`] with per-worker scratch state: each worker calls `init`
+/// once and hands the state to every `f` call it makes, so scratch
+/// arrays (dense-id sets, `last` arrays) are allocated once per
+/// worker rather than once per item. `f` must not let the state change
+/// its result.
+pub fn par_map_with<T, S, U, F>(
+    items: &[T],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: F,
+) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&mut S, &T) -> U + Sync,
+{
     let threads = threads.max(1);
     if threads == 1 || items.len() <= SEQ_CUTOFF {
-        return items.iter().map(&f).collect();
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
     let n = items.len();
     let chunk = chunk_len(n, threads);
@@ -46,8 +66,9 @@ where
     let obs = memgaze_obs::enabled();
     std::thread::scope(|scope| {
         for _ in 0..threads.min(num_chunks) {
-            let (next, parts, f) = (&next, &parts, &f);
+            let (next, parts, init, f) = (&next, &parts, &init, &f);
             scope.spawn(move || {
+                let mut state = init();
                 let mut claimed = 0u64;
                 loop {
                     let idx = next.fetch_add(1, Ordering::Relaxed);
@@ -60,7 +81,10 @@ where
                         record_queue_depth(num_chunks, idx);
                     }
                     let end = (start + chunk).min(n);
-                    let vals: Vec<U> = items[start..end].iter().map(f).collect();
+                    let vals: Vec<U> = items[start..end]
+                        .iter()
+                        .map(|item| f(&mut state, item))
+                        .collect();
                     parts.lock().unwrap().push((start, vals));
                 }
                 if obs {

@@ -147,6 +147,7 @@ fn run_scenario(name: &str, samples: usize, window: usize, skew: usize) -> Scena
     assert_eq!(stats.block_reuse, 1, "block_reuse must compute once");
     assert_eq!(stats.zoom, 1, "zoom must compute once");
     assert_eq!(stats.sample_reuse, 1, "sample reuse must compute once");
+    assert_eq!(stats.columns, 1, "access columns must build once");
 
     Scenario {
         scenario: name.to_string(),
